@@ -46,8 +46,6 @@
 //                     trace totals) written to DEST; '-' means stderr
 //   --trace-out FILE  Chrome trace-event JSON ("encodesat-trace-v1") of the
 //                     pipeline spans, loadable in chrome://tracing/Perfetto
-//   --stats-json      deprecated alias for --stats-out - (telemetry now
-//                     goes to stderr, keeping stdout for the result)
 //
 // Solve-cache flags:
 //   --cache           encode/solve: consult the canonical-form solve cache
@@ -105,8 +103,6 @@ struct CliOptions {
   std::uint64_t cache_size = 64u << 20;
   std::string cache_load;
   std::string cache_save;
-  /// Deprecated bare flag; behaves as `--stats-out -`.
-  bool stats_json = false;
   /// Telemetry destination: empty = off, "-" = stderr, else a file path.
   std::string stats_out;
   /// Chrome-trace output file; empty disables tracing entirely.
@@ -137,14 +133,13 @@ void emit_observability(const CliOptions& cli, const char* tool,
     // High-water gauge (not add): idempotent however many surfaces report.
     metrics->counter("obs.trace.dropped", /*in_fingerprint=*/false)
         ->record_max(tracer->dropped_spans());
-  if (cli.stats_json || !cli.stats_out.empty()) {
+  if (!cli.stats_out.empty()) {
     TelemetryOptions topts;
     topts.tool = tool;
     topts.stats = stats;
     topts.metrics = metrics;
     topts.tracer = tracer;
-    write_text_to(cli.stats_out.empty() ? "-" : cli.stats_out,
-                  telemetry_to_json(topts), "telemetry");
+    write_text_to(cli.stats_out, telemetry_to_json(topts), "telemetry");
   }
   if (tracer && !cli.trace_out.empty()) {
     std::ofstream out(cli.trace_out);
@@ -176,8 +171,7 @@ int usage(const char* argv0) {
                "[--cache-load FILE] [--cache-save FILE]\n"
                "  (fuzz takes --cache/--no-cache/--cache-size for the cache "
                "agreement rule;\n"
-               "   '-' as DEST means stderr; --stats-json is a deprecated "
-               "alias for --stats-out -)\n",
+               "   '-' as DEST means stderr)\n",
                argv0, argv0, argv0, argv0);
   return 2;
 }
@@ -472,13 +466,6 @@ int parse_common_flag(int argc, char** argv, int i, CliOptions* cli) {
   if (!std::strcmp(flag, "--trace-out") && has_value) {
     cli->trace_out = argv[i + 1];
     return 2;
-  }
-  if (!std::strcmp(flag, "--stats-json")) {
-    cli->stats_json = true;
-    std::fprintf(stderr,
-                 "note: --stats-json is deprecated; use --stats-out FILE "
-                 "('-' for stderr)\n");
-    return 1;
   }
   return 0;
 }

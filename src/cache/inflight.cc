@@ -4,7 +4,7 @@ namespace encodesat {
 
 bool InFlightTable::Slot::wait(bool has_deadline,
                                std::chrono::steady_clock::time_point deadline,
-                               CachedSolve* out) {
+                               SolveOutcome* out) {
   std::unique_lock<std::mutex> lock(mu_);
   if (has_deadline) {
     if (!cv_.wait_until(lock, deadline, [&] { return done_; })) return false;
@@ -23,7 +23,7 @@ bool InFlightTable::Slot::abandoned() const {
 
 InFlightTable::Join InFlightTable::join(SolveCache* cache,
                                         const std::string& key,
-                                        CachedSolve* hit,
+                                        SolveOutcome* hit,
                                         std::shared_ptr<Slot>* slot) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = slots_.find(key);
@@ -46,7 +46,7 @@ InFlightTable::Join InFlightTable::join(SolveCache* cache,
 
 void InFlightTable::publish(SolveCache* cache, const std::string& key,
                             const std::shared_ptr<Slot>& slot,
-                            const CachedSolve& value) {
+                            const SolveOutcome& value) {
   if (cache != nullptr) cache->insert(key, value);
   {
     std::lock_guard<std::mutex> lock(mu_);

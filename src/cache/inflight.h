@@ -65,7 +65,7 @@ class InFlightTable {
     /// `abandoned()` to tell the two apart).
     bool wait(bool has_deadline,
               std::chrono::steady_clock::time_point deadline,
-              CachedSolve* out);
+              SolveOutcome* out);
     bool abandoned() const;
 
    private:
@@ -74,7 +74,7 @@ class InFlightTable {
     std::condition_variable cv_;
     bool done_ = false;
     bool has_value_ = false;
-    CachedSolve value_;
+    SolveOutcome value_;
   };
 
   enum class Join {
@@ -86,7 +86,7 @@ class InFlightTable {
   /// Resolves `key` atomically against the in-flight table and `cache`
   /// (which may be null: then only leader/follower outcomes occur). On
   /// kHit fills `*hit`; on kLeader/kFollower fills `*slot`.
-  Join join(SolveCache* cache, const std::string& key, CachedSolve* hit,
+  Join join(SolveCache* cache, const std::string& key, SolveOutcome* hit,
             std::shared_ptr<Slot>* slot);
 
   /// Leader hand-off for an untruncated result: inserts `value` into
@@ -94,7 +94,7 @@ class InFlightTable {
   /// key and wakes the slot's followers. A kLeader join must be resolved
   /// by exactly one publish() or abandon() call.
   void publish(SolveCache* cache, const std::string& key,
-               const std::shared_ptr<Slot>& slot, const CachedSolve& value);
+               const std::shared_ptr<Slot>& slot, const SolveOutcome& value);
 
   /// Leader failure path (pipeline threw, or the result was truncated and
   /// must not be handed to followers): removes the key and wakes followers

@@ -21,42 +21,6 @@ std::uint64_t key_hash64(const std::string& key) {
   return h;
 }
 
-const char* status_token(int status) {
-  switch (status) {
-    case 0: return "encoded";
-    case 1: return "infeasible";
-    case 2: return "truncated";
-  }
-  return "infeasible";
-}
-
-bool status_from_token(const std::string& tok, int* out) {
-  if (tok == "encoded") *out = 0;
-  else if (tok == "infeasible") *out = 1;
-  else if (tok == "truncated") *out = 2;
-  else return false;
-  return true;
-}
-
-// Names match truncation_name() (util/exec.cc) so the file format and the
-// stats JSON agree on vocabulary.
-const char* truncation_token(int t) {
-  static const char* kNames[] = {"none",       "deadline",   "work_budget",
-                                 "term_limit", "node_limit", "cancelled"};
-  return (t >= 0 && t < 6) ? kNames[t] : "none";
-}
-
-bool truncation_from_token(const std::string& tok, int* out) {
-  static const char* kNames[] = {"none",       "deadline",   "work_budget",
-                                 "term_limit", "node_limit", "cancelled"};
-  for (int i = 0; i < 6; ++i)
-    if (tok == kNames[i]) {
-      *out = i;
-      return true;
-    }
-  return false;
-}
-
 template <typename T>
 void append_list_line(std::string& out, const char* field,
                       const std::vector<T>& values) {
@@ -87,7 +51,13 @@ SolveCache::Shard& SolveCache::shard_for(const std::string& key) {
   return shards_[key_hash64(key) % shards_.size()];
 }
 
-bool SolveCache::lookup(const std::string& key, CachedSolve* out) {
+std::size_t SolveCache::approx_bytes(const SolveOutcome& value) {
+  return sizeof(SolveOutcome) +
+         value.encoding.codes.size() * sizeof(std::uint64_t) +
+         value.uncovered.size() * sizeof(std::size_t);
+}
+
+bool SolveCache::lookup(const std::string& key, SolveOutcome* out) {
   Shard& s = shard_for(key);
   std::lock_guard<std::mutex> lock(s.mu);
   auto it = s.index.find(key);
@@ -101,13 +71,13 @@ bool SolveCache::lookup(const std::string& key, CachedSolve* out) {
   return true;
 }
 
-void SolveCache::insert(const std::string& key, CachedSolve value) {
+void SolveCache::insert(const std::string& key, SolveOutcome value) {
   Shard& s = shard_for(key);
   std::lock_guard<std::mutex> lock(s.mu);
-  const std::size_t entry_bytes = key.size() + value.approx_bytes();
+  const std::size_t entry_bytes = key.size() + approx_bytes(value);
   auto it = s.index.find(key);
   if (it != s.index.end()) {
-    s.bytes -= it->second->key.size() + it->second->value.approx_bytes();
+    s.bytes -= it->second->key.size() + approx_bytes(it->second->value);
     it->second->value = std::move(value);
     s.lru.splice(s.lru.begin(), s.lru, it->second);
   } else {
@@ -126,7 +96,7 @@ void SolveCache::evict_locked(Shard& s) {
   // resident (and alone) rather than making its own insert a no-op.
   while (s.bytes > budget && s.lru.size() > 1) {
     const Entry& victim = s.lru.back();
-    s.bytes -= victim.key.size() + victim.value.approx_bytes();
+    s.bytes -= victim.key.size() + approx_bytes(victim.value);
     s.index.erase(victim.key);
     s.lru.pop_back();
     evictions_.fetch_add(1, std::memory_order_relaxed);
@@ -160,16 +130,16 @@ std::string SolveCache::to_text() const {
   std::string out = std::string(kFormatHeader) + "\n";
   char hex[17];
   for (const Entry& e : entries) {
-    const CachedSolve& v = e.value;
+    const SolveOutcome& v = e.value;
     out += "entry " + e.key + "\n";
     out += "status ";
-    out += status_token(v.status);
-    out += "\nbits " + std::to_string(v.bits) + "\n";
-    append_list_line(out, "codes", v.codes);
+    out += solve_status_name(v.status);
+    out += "\nbits " + std::to_string(v.encoding.bits) + "\n";
+    append_list_line(out, "codes", v.encoding.codes);
     out += "minimal ";
     out += v.minimal ? '1' : '0';
     out += "\ntruncation ";
-    out += truncation_token(v.truncation);
+    out += truncation_name(v.truncation);
     out += '\n';
     append_list_line(out, "uncovered", v.uncovered);
     out += "counters " + std::to_string(v.num_initial) + ' ' +
@@ -209,7 +179,7 @@ bool SolveCache::from_text(const std::string& text, std::string* error) {
     if (word != "entry" || !(ls >> key))
       return fail(line_no, "expected 'entry <key>'");
 
-    CachedSolve v;
+    SolveOutcome v;
     bool saw_end = false;
     while (std::getline(in, line)) {
       ++line_no;
@@ -221,12 +191,14 @@ bool SolveCache::from_text(const std::string& text, std::string* error) {
         break;
       } else if (field == "status") {
         std::string tok;
-        if (!(fs >> tok) || !status_from_token(tok, &v.status))
+        if (!(fs >> tok) || !solve_status_from_name(tok.c_str(), &v.status))
           return fail(line_no, "bad status");
       } else if (field == "bits") {
-        if (!(fs >> v.bits) || v.bits < 0) return fail(line_no, "bad bits");
+        if (!(fs >> v.encoding.bits) || v.encoding.bits < 0)
+          return fail(line_no, "bad bits");
       } else if (field == "codes") {
-        if (!parse_list(fs, &v.codes)) return fail(line_no, "bad codes");
+        if (!parse_list(fs, &v.encoding.codes))
+          return fail(line_no, "bad codes");
       } else if (field == "minimal") {
         int b = 0;
         if (!(fs >> b) || (b != 0 && b != 1))
@@ -234,7 +206,7 @@ bool SolveCache::from_text(const std::string& text, std::string* error) {
         v.minimal = b == 1;
       } else if (field == "truncation") {
         std::string tok;
-        if (!(fs >> tok) || !truncation_from_token(tok, &v.truncation))
+        if (!(fs >> tok) || !truncation_from_name(tok.c_str(), &v.truncation))
           return fail(line_no, "bad truncation");
       } else if (field == "uncovered") {
         if (!parse_list(fs, &v.uncovered))

@@ -3,10 +3,12 @@
 // The Solver facade (src/core/solver.h, SolveOptions::cache) canonicalizes
 // the instance, composes the cache key from the canonical key plus an
 // options fingerprint, and consults this cache before running the pipeline.
-// The cache itself is deliberately dumb: string keys in, CachedSolve values
-// out. It never inspects constraint sets and never depends on the solver —
-// which is also what lets it compile into encodesat_core underneath
-// core/solver without a dependency cycle.
+// The cache itself is deliberately dumb: string keys in, SolveOutcome values
+// (core/status.h) out, in *canonical* symbol space — the facade permutes
+// the codes back through the SymbolPermutation of the instance it serves.
+// It never inspects constraint sets and never depends on the solver, which
+// is also what lets it compile into encodesat_core underneath core/solver
+// without a dependency cycle.
 //
 // Soundness: lookups compare the full key string, not its hash, so a
 // 128-bit hash collision can cost a miss but never return a wrong result.
@@ -29,6 +31,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/status.h"
+
 namespace encodesat {
 
 struct CacheConfig {
@@ -38,45 +42,6 @@ struct CacheConfig {
   /// evicted per shard once its share (max_bytes / shards) is exceeded.
   /// 0 means unlimited.
   std::size_t max_bytes = 64u << 20;
-};
-
-/// A cached solve outcome — the deterministic payload of a SolveResult
-/// (everything except the per-run StageStats tree), in *canonical* symbol
-/// space. The facade permutes `codes` back through the SymbolPermutation of
-/// the instance it is serving.
-struct CachedSolve {
-  /// Mirrors SolveResult::Status: 0 encoded, 1 infeasible, 2 truncated.
-  int status = 1;
-  int bits = 0;
-  std::vector<std::uint64_t> codes;
-  bool minimal = false;
-  /// Mirrors Truncation (util/exec.h) numerically; kNone for every entry
-  /// the facade stores (only untruncated results are cached), but the field
-  /// round-trips through the persistent format for forward compatibility.
-  int truncation = 0;
-  /// Uncovered initial-dichotomy indices (canonical-space, infeasible exact
-  /// runs only).
-  std::vector<std::size_t> uncovered;
-
-  // Table-1 style counters of the solve that produced the entry.
-  std::size_t num_initial = 0;
-  std::size_t num_raised = 0;
-  std::size_t num_primes = 0;
-  std::size_t num_valid_primes = 0;
-  std::size_t num_candidates = 0;
-  std::size_t num_aux_columns = 0;
-  std::uint64_t nodes_explored = 0;
-
-  /// fnv1a64 fingerprint of the producing run's stats tree rendered as
-  /// "name:work:items;..." — lets tools spot-check that a hit corresponds
-  /// to the same amount of underlying work without storing the whole tree.
-  std::uint64_t stats_fingerprint = 0;
-
-  /// Approximate heap footprint for the byte budget.
-  std::size_t approx_bytes() const {
-    return sizeof(CachedSolve) + codes.size() * sizeof(std::uint64_t) +
-           uncovered.size() * sizeof(std::size_t);
-  }
 };
 
 struct CacheStats {
@@ -97,11 +62,15 @@ class SolveCache {
 
   /// Copies the entry for `key` into `*out` and marks it most recently
   /// used. Counts a hit or a miss.
-  bool lookup(const std::string& key, CachedSolve* out);
+  bool lookup(const std::string& key, SolveOutcome* out);
 
   /// Inserts or replaces the entry for `key`, then evicts LRU entries from
   /// the key's shard until the shard fits its byte share.
-  void insert(const std::string& key, CachedSolve value);
+  void insert(const std::string& key, SolveOutcome value);
+
+  /// Approximate heap footprint of one value for the byte budget (an entry
+  /// also charges its key's length).
+  static std::size_t approx_bytes(const SolveOutcome& value);
 
   /// Point-in-time aggregate across shards.
   CacheStats stats() const;
@@ -124,7 +93,7 @@ class SolveCache {
  private:
   struct Entry {
     std::string key;
-    CachedSolve value;
+    SolveOutcome value;
   };
   struct Shard {
     mutable std::mutex mu;

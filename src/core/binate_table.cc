@@ -110,18 +110,21 @@ BinateTable build_binate_table(const ConstraintSet& cs) {
   return table;
 }
 
-BinateEncodeResult binate_table_encode(const ConstraintSet& cs,
-                                       const BinateCoverOptions& opts,
-                                       const ExecContext& ctx) {
-  BinateEncodeResult res;
+SolveOutcome binate_table_encode(const ConstraintSet& cs,
+                                 const BinateCoverOptions& opts,
+                                 const ExecContext& ctx) {
+  SolveOutcome res;
   const BinateTable table = build_binate_table(cs);
   const BinateCoverSolution sol = solve_binate_cover(table.problem, opts, ctx);
   res.nodes_explored = sol.nodes_explored;
-  res.truncated = sol.truncated;
   res.truncation = sol.truncation;
-  if (!sol.feasible) return res;
+  if (!sol.feasible) {
+    res.status = sol.truncated ? SolveOutcome::Status::kTruncated
+                               : SolveOutcome::Status::kInfeasible;
+    return res;
+  }
   assert(sol.cost >= 0);
-  res.feasible = true;
+  res.status = SolveOutcome::Status::kEncoded;
   res.minimal = sol.optimal;
   res.encoding.bits = static_cast<int>(sol.columns.size());
   res.encoding.codes.assign(cs.num_symbols(), 0);

@@ -18,6 +18,7 @@
 
 #include "core/constraints.h"
 #include "core/encoding.h"
+#include "core/status.h"
 #include "covering/binate.h"
 
 namespace encodesat {
@@ -34,27 +35,13 @@ struct BinateTable {
 /// 2^n - 2 columns); throws std::invalid_argument beyond that.
 BinateTable build_binate_table(const ConstraintSet& cs);
 
-struct BinateEncodeResult {
-  /// False means *either* proven infeasible (`truncated == false`) or
-  /// unknown because a search budget expired (`truncated == true`) — never
-  /// treat a truncated miss as an infeasibility certificate.
-  bool feasible = false;
-  bool minimal = false;
-  Encoding encoding;
-  std::uint64_t nodes_explored = 0;
-  /// Uniform truncation shape (docs/API.md): `truncated` mirrors
-  /// `truncation != Truncation::kNone`.
-  bool truncated = false;
-  Truncation truncation = Truncation::kNone;
-
-  /// The cover search ran to completion and found no encoding.
-  bool proven_infeasible() const { return !feasible && !truncated; }
-};
-
 /// Brute-force exact minimum-length encoding via the binate table. The
 /// context's budget (deadline/work/cancellation) bounds the cover search.
-BinateEncodeResult binate_table_encode(const ConstraintSet& cs,
-                                       const BinateCoverOptions& opts = {},
-                                       const ExecContext& ctx = {});
+/// kInfeasible means the search ran to completion and found no encoding;
+/// a budget that expires first yields kTruncated, never kInfeasible.
+/// Fills `nodes_explored`; the other counters stay 0.
+SolveOutcome binate_table_encode(const ConstraintSet& cs,
+                                 const BinateCoverOptions& opts = {},
+                                 const ExecContext& ctx = {});
 
 }  // namespace encodesat

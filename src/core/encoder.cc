@@ -4,6 +4,7 @@
 #include <optional>
 
 #include "core/output_rules.h"
+#include "core/pipelines.h"
 #include "core/verify.h"
 #include "obs/counters.h"
 #include "obs/trace.h"
@@ -86,10 +87,10 @@ FeasibilityResult check_feasible(const ConstraintSet& cs,
   return res;
 }
 
-ExactEncodeResult exact_encode(const ConstraintSet& cs,
-                               const ExactEncodeOptions& opts,
-                               const ExecContext& ctx) {
-  ExactEncodeResult res;
+SolveOutcome exact_encode(const ConstraintSet& cs,
+                          const ExactEncodeOptions& opts,
+                          const ExecContext& ctx) {
+  SolveOutcome res;
   const std::uint32_t n = cs.num_symbols();
 
   std::vector<InitialDichotomy> initial;
@@ -109,13 +110,14 @@ ExactEncodeResult exact_encode(const ConstraintSet& cs,
     res.uncovered = uncovered_initials(initial, d, stage.ctx());
   }
   if (!res.uncovered.empty()) {
-    res.status = ExactEncodeResult::Status::kInfeasible;
+    res.status = SolveOutcome::Status::kInfeasible;
     return res;
   }
 
   // Trivial but legal corner: one symbol, no constraints to separate.
   if (n <= 1) {
-    res.status = ExactEncodeResult::Status::kEncoded;
+    res.status = SolveOutcome::Status::kEncoded;
+    res.minimal = true;
     res.encoding.bits = n == 0 ? 0 : 1;
     res.encoding.codes.assign(n, 0);
     return res;
@@ -123,8 +125,7 @@ ExactEncodeResult exact_encode(const ConstraintSet& cs,
 
   PrimeGenResult pg = generate_prime_dichotomies(d, opts.prime_options, ctx);
   if (pg.truncated) {
-    res.status = ExactEncodeResult::Status::kPrimeLimit;
-    res.truncated = true;
+    res.status = SolveOutcome::Status::kTruncated;
     res.truncation = pg.truncation;
     return res;
   }
@@ -162,8 +163,7 @@ ExactEncodeResult exact_encode(const ConstraintSet& cs,
     stage.add_items(candidates.size());
   }
   if (!ctx.poll()) {
-    res.status = ExactEncodeResult::Status::kPrimeLimit;
-    res.truncated = true;
+    res.status = SolveOutcome::Status::kTruncated;
     res.truncation = ctx.reason();
     return res;
   }
@@ -188,10 +188,11 @@ ExactEncodeResult exact_encode(const ConstraintSet& cs,
   }
   const UnateCoverSolution cover =
       solve_unate_cover(problem, opts.cover_options, ctx);
+  res.nodes_explored = cover.nodes_explored;
   if (!cover.feasible) {
     // Cannot happen when the feasibility check passed (Theorem 6.1), but
     // report honestly rather than asserting in release builds.
-    res.status = ExactEncodeResult::Status::kInfeasible;
+    res.status = SolveOutcome::Status::kInfeasible;
     return res;
   }
 
@@ -199,9 +200,8 @@ ExactEncodeResult exact_encode(const ConstraintSet& cs,
   columns.reserve(cover.columns.size());
   for (std::size_t c : cover.columns) columns.push_back(candidates[c]);
 
-  res.status = ExactEncodeResult::Status::kEncoded;
+  res.status = SolveOutcome::Status::kEncoded;
   res.minimal = cover.optimal;
-  res.truncated = cover.truncated;
   res.truncation = cover.truncation;
   res.encoding = derive_codes(n, columns);
   return res;

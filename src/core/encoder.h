@@ -1,6 +1,7 @@
 // The paper's core algorithms: feasibility of mixed input/output
-// constraints (Figure 6, Theorem 6.1 — problem P-1) and exact
-// minimum-length encoding (Figure 7, Theorem 6.2 — problem P-2).
+// constraints (Figure 6, Theorem 6.1 — problem P-1) and the options of
+// exact minimum-length encoding (Figure 7, Theorem 6.2 — problem P-2),
+// which runs through Solver::encode (core/solver.h).
 #pragma once
 
 #include <cstdint>
@@ -49,43 +50,5 @@ struct ExactEncodeOptions {
   PrimeGenOptions prime_options;
   UnateCoverOptions cover_options;
 };
-
-struct ExactEncodeResult {
-  enum class Status {
-    kEncoded,       ///< feasible; `encoding` holds a minimum-length solution
-    kInfeasible,    ///< the constraints cannot all be satisfied
-    kPrimeLimit,    ///< prime generation exceeded the term budget
-  };
-  Status status = Status::kInfeasible;
-  Encoding encoding;
-  /// Covering-solver proof of minimality (false if the node budget ran out,
-  /// in which case `encoding` is still valid but possibly not minimum).
-  bool minimal = true;
-  /// Uniform truncation shape (see docs/API.md): `truncated` always mirrors
-  /// `truncation != Truncation::kNone`.
-  bool truncated = false;
-  /// Why the pipeline stopped early or lost the optimality proof: set with
-  /// kPrimeLimit (term/work/deadline/cancel during prime generation) and
-  /// alongside `minimal == false` (node budget or shared-budget expiry in
-  /// the covering search).
-  Truncation truncation = Truncation::kNone;
-
-  // Statistics mirroring Table 1's columns.
-  std::size_t num_initial = 0;
-  std::size_t num_raised = 0;
-  std::size_t num_primes = 0;
-  std::size_t num_valid_primes = 0;
-  std::vector<std::size_t> uncovered;  ///< set when infeasible
-};
-
-/// P-2: exact minimum-length encoding satisfying all input and output
-/// constraints (distance-2 and non-face constraints are handled by
-/// encode_with_extensions in extensions.h; this routine ignores them).
-/// Deterministic for any `ctx.num_threads` under work/term/node budgets
-/// (wall-clock deadlines excepted). Most callers want the Solver facade
-/// (core/solver.h), which routes pipelines and can cache results.
-ExactEncodeResult exact_encode(const ConstraintSet& cs,
-                               const ExactEncodeOptions& opts,
-                               const ExecContext& ctx);
 
 }  // namespace encodesat

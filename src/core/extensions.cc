@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 #include "core/generate.h"
 #include "core/output_rules.h"
+#include "core/pipelines.h"
 #include "obs/counters.h"
 
 namespace encodesat {
@@ -91,16 +94,17 @@ bool pattern_separates_from_face(std::uint64_t pattern,
 
 }  // namespace
 
-ExtensionEncodeResult encode_with_extensions(const ConstraintSet& cs,
-                                             const ExtensionEncodeOptions& opts,
-                                             const ExecContext& ctx) {
-  StageScope stage(ctx, "extensions");
-  ExtensionEncodeResult res;
+SolveOutcome encode_with_extensions(const ConstraintSet& cs,
+                                    const ExtensionEncodeOptions& opts,
+                                    const ExecContext& ctx) {
   const std::uint32_t n = cs.num_symbols();
-  if (n > 64) {
-    res.status = ExtensionEncodeResult::Status::kPrimeLimit;
-    return res;
-  }
+  if (n > 64)
+    throw std::invalid_argument(
+        "extension pipeline supports at most 64 symbols (one bit per "
+        "symbol in a 64-bit column); got " +
+        std::to_string(n));
+  StageScope stage(ctx, "extensions");
+  SolveOutcome res;
 
   // Candidate dichotomies: valid maximally raised initial set + splitter
   // enrichments for the distance-2 pairs + intruder enrichments for the
@@ -159,8 +163,7 @@ ExtensionEncodeResult encode_with_extensions(const ConstraintSet& cs,
     PrimeGenResult pg =
         generate_prime_dichotomies(d, opts.prime_options, stage.ctx());
     if (pg.truncated) {
-      res.status = ExtensionEncodeResult::Status::kPrimeLimit;
-      res.truncated = true;
+      res.status = SolveOutcome::Status::kTruncated;
       res.truncation = pg.truncation;
       stage.set_truncation(pg.truncation);
       return res;
@@ -256,15 +259,14 @@ ExtensionEncodeResult encode_with_extensions(const ConstraintSet& cs,
     if (!any) {
       // No symbol outside the face exists: the non-face constraint is
       // unsatisfiable (nobody can intrude).
-      res.status = ExtensionEncodeResult::Status::kInfeasible;
+      res.status = SolveOutcome::Status::kInfeasible;
       return res;
     }
     problem.rows.push_back(std::move(row));
   }
 
   if (!stage.ctx().poll()) {
-    res.status = ExtensionEncodeResult::Status::kPrimeLimit;
-    res.truncated = true;
+    res.status = SolveOutcome::Status::kTruncated;
     res.truncation = stage.ctx().reason();
     stage.set_truncation(res.truncation);
     return res;
@@ -277,18 +279,16 @@ ExtensionEncodeResult encode_with_extensions(const ConstraintSet& cs,
     // Only a completed search proves infeasibility; a truncated miss is
     // "unknown — the budget ran out first" (solve_binate_cover's honesty
     // contract, docs/API.md).
-    res.status = sol.truncated ? ExtensionEncodeResult::Status::kCoverLimit
-                               : ExtensionEncodeResult::Status::kInfeasible;
-    res.truncated = sol.truncated;
+    res.status = sol.truncated ? SolveOutcome::Status::kTruncated
+                               : SolveOutcome::Status::kInfeasible;
     res.truncation = sol.truncation;
     stage.set_truncation(res.truncation);
     return res;
   }
   assert(sol.cost >= 0);
-  res.status = ExtensionEncodeResult::Status::kEncoded;
+  res.status = SolveOutcome::Status::kEncoded;
   res.minimal = sol.optimal;
   if (!sol.optimal) {
-    res.truncated = true;
     res.truncation = sol.truncation;
     stage.set_truncation(res.truncation);
   }

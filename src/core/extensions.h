@@ -11,6 +11,10 @@
 // solution is therefore guaranteed valid; it is minimum-length over this
 // candidate column set (the paper, likewise, selects among the generated
 // primes).
+//
+// Run it through Solver::encode (core/solver.h): Pipeline::kAuto routes
+// here whenever distance-2 or non-face constraints are present, and
+// Pipeline::kExtensions forces it.
 #pragma once
 
 #include "core/constraints.h"
@@ -24,32 +28,5 @@ struct ExtensionEncodeOptions {
   PrimeGenOptions prime_options;
   BinateCoverOptions cover_options;
 };
-
-struct ExtensionEncodeResult {
-  /// kInfeasible is a *certificate* (the cover search ran to completion and
-  /// proved no encoding exists). A budget that expires during prime
-  /// generation maps to kPrimeLimit; one that expires during the binate
-  /// cover search maps to kCoverLimit — never to kInfeasible.
-  enum class Status { kEncoded, kInfeasible, kPrimeLimit, kCoverLimit };
-  Status status = Status::kInfeasible;
-  Encoding encoding;
-  bool minimal = false;
-  /// Uniform truncation shape (see docs/API.md): `truncated` always mirrors
-  /// `truncation != Truncation::kNone`.
-  bool truncated = false;
-  /// Why the run truncated or lost its optimality proof (kNone otherwise).
-  Truncation truncation = Truncation::kNone;
-  std::size_t num_candidates = 0;
-  std::size_t num_aux_columns = 0;
-  std::uint64_t nodes_explored = 0;
-};
-
-/// Minimum-length encoding satisfying face, dominance, disjunctive,
-/// extended disjunctive, distance-2 and non-face constraints. Pass
-/// ExecContext{} when no budget/stats plumbing is needed, or use the Solver
-/// facade (core/solver.h) with Pipeline::kExtensions.
-ExtensionEncodeResult encode_with_extensions(const ConstraintSet& cs,
-                                             const ExtensionEncodeOptions& opts,
-                                             const ExecContext& ctx);
 
 }  // namespace encodesat

@@ -31,9 +31,9 @@
 // returns a bit-identical SolveResult to the cold miss that populated the
 // entry — the solver's tie-breaking runs on the same canonical instance
 // either way. The cache-off path never canonicalizes and is byte-for-byte
-// the historical behavior. Two caveats, both documented on the fields
-// below: `uncovered` indices stay in canonical space on cached paths, and
-// only untruncated results are stored.
+// the historical behavior. Two caveats: `uncovered` indices stay in
+// canonical space on cached paths (SolveOutcome, core/status.h), and only
+// untruncated results are stored.
 //
 // Determinism: for fixed options, the encoding produced is identical for
 // every `exec.threads` value and for repeated runs — work/term/node budgets
@@ -128,29 +128,18 @@ struct SolveOptions {
   Cache cache;
 };
 
-struct SolveResult {
-  enum class Status {
-    kEncoded,     ///< `encoding` satisfies every constraint
-    kInfeasible,  ///< the constraints cannot all be satisfied
-    kTruncated,   ///< a budget expired before an encoding was found
-  };
-  Status status = Status::kInfeasible;
-  Encoding encoding;
-  /// True when minimality was proved within every budget.
-  bool minimal = false;
+/// One solve's answer: the deterministic SolveOutcome payload (status,
+/// encoding, minimal, truncation, uncovered, the counters and the stats
+/// fingerprint — core/status.h), plus the fields that describe this run
+/// only. On a cache hit or a coalesced attach the payload replays the solve
+/// that produced it, with codes mapped to this instance's symbol order;
+/// `uncovered` stays in canonical space on cached paths.
+struct SolveResult : SolveOutcome {
   /// Uniform truncation shape (see docs/API.md): `truncated` always mirrors
   /// `truncation != Truncation::kNone`. A truncated result can still be
   /// encoded — status kEncoded with `truncated` means only the optimality
   /// proof was cut short.
   bool truncated = false;
-  /// First budget/limit that tripped (kNone on a clean run).
-  Truncation truncation = Truncation::kNone;
-  /// Initial dichotomies no valid raised dichotomy covers (infeasible
-  /// exact-pipeline runs only; indexes the generated initial list). On a
-  /// cache-enabled solve these index the *canonical* instance's initial
-  /// list — the dichotomies themselves, unlike codes, have no per-symbol
-  /// mapping back to the original order.
-  std::vector<std::size_t> uncovered;
   /// True when this result was served from the solve cache.
   bool from_cache = false;
   /// True when this result attached to a concurrent in-flight solve of the
@@ -158,25 +147,11 @@ struct SolveResult {
   /// `from_cache` semantics: the payload replays the leader's solve).
   bool coalesced = false;
 
-  // Table-1 style counters (exact pipeline). On a cache hit these replay
-  // the counters of the solve that populated the entry.
-  std::size_t num_initial = 0;
-  std::size_t num_raised = 0;
-  std::size_t num_primes = 0;
-  std::size_t num_valid_primes = 0;
-  // Extension-pipeline counters.
-  std::size_t num_candidates = 0;
-  std::size_t num_aux_columns = 0;
-  /// Covering-search nodes (binate nodes on the extension path).
-  std::uint64_t nodes_explored = 0;
-
   /// Per-stage observability tree rooted at "solve"; serialize with
   /// stats.to_json(). Populated on every path; a cache hit records a
   /// "cache_hit" child instead of the pipeline stages (stats describe the
   /// work actually done, which on a hit is a lookup).
   StageStats stats;
-
-  bool encoded() const { return status == Status::kEncoded; }
 };
 
 class Solver {
@@ -227,11 +202,10 @@ struct SolveRequest {
   /// on the NDJSON wire). Not interpreted.
   std::string id;
   ConstraintSet constraints;
+  /// The deadline is options.exec.timeout_seconds, measured from the
+  /// moment solve() starts (the service broker fixes it at submission and
+  /// passes the remaining time at dequeue, so queue wait counts against it).
   SolveOptions options;
-  /// Per-request deadline in seconds, measured from the moment solve()
-  /// starts (the broker re-derives the remaining time at dequeue so queue
-  /// wait counts against it). 0 defers to options.exec.timeout_seconds.
-  double deadline_seconds = 0;
 };
 
 /// The uniform answer: a StatusCode plus the underlying SolveResult.
@@ -257,9 +231,9 @@ struct SolveResponse {
 StatusCode status_from_result(const SolveResult& r);
 
 /// The unified entry point: solves `req.constraints` under `req.options`
-/// (deadline_seconds, when set, overrides options.exec.timeout_seconds)
 /// and folds the outcome into a SolveResponse. Exceptions become
-/// kInternal with the message in `detail`. Equivalent to
+/// kInternal with the message in `detail` — among them a symbol count past
+/// a pipeline's limit and a damaged cache entry. Equivalent to
 /// Solver(req.constraints).encode(...) plus the status mapping — the CLI,
 /// fuzz driver and service broker all funnel through here.
 SolveResponse solve(const SolveRequest& req);
@@ -273,26 +247,5 @@ SolveResponse solve(const SolveRequest& req);
 /// so deadline differences cannot leak a budget-truncated result into a
 /// request whose own budget was ample.
 std::uint64_t solve_options_fingerprint(const SolveOptions& opts);
-
-/// Encodes each constraint set independently — results in input order,
-/// bit-identical to encoding them one by one. `opts.exec.threads` is the
-/// batch fan-out width (each item solves single-threaded);
-/// `opts.exec.timeout_seconds` is one shared deadline for the whole batch,
-/// while `opts.exec.max_work` is a per-item budget so work truncation stays
-/// deterministic. With opts.cache enabled and no external store, one cache
-/// is shared by the whole batch, so canonical duplicates within the batch
-/// hit (which duplicate pays the miss can depend on scheduling; the
-/// results cannot).
-std::vector<SolveResult> encode_batch(const std::vector<ConstraintSet>& sets,
-                                      const SolveOptions& opts = {});
-
-/// P-3 sweep: bounded_encode at every candidate code length, fanned out
-/// over `threads` workers; results in input order, identical to calling
-/// bounded_encode per length. `ctx` carries the optional tracer/metrics
-/// (budget and stats are per-length, not taken from ctx).
-std::vector<BoundedEncodeResult> bounded_encode_lengths(
-    const ConstraintSet& cs, const std::vector<int>& lengths,
-    const BoundedEncodeOptions& opts = {}, int threads = 1,
-    const ExecContext& ctx = {});
 
 }  // namespace encodesat

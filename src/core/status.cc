@@ -39,4 +39,27 @@ bool status_code_from_name(const char* name, StatusCode* out) {
   return false;
 }
 
+const char* solve_status_name(SolveOutcome::Status status) {
+  switch (status) {
+    case SolveOutcome::Status::kEncoded:
+      return "encoded";
+    case SolveOutcome::Status::kInfeasible:
+      return "infeasible";
+    case SolveOutcome::Status::kTruncated:
+      return "truncated";
+  }
+  return "unknown";
+}
+
+bool solve_status_from_name(const char* name, SolveOutcome::Status* out) {
+  for (SolveOutcome::Status s :
+       {SolveOutcome::Status::kEncoded, SolveOutcome::Status::kInfeasible,
+        SolveOutcome::Status::kTruncated})
+    if (!std::strcmp(name, solve_status_name(s))) {
+      if (out) *out = s;
+      return true;
+    }
+  return false;
+}
+
 }  // namespace encodesat

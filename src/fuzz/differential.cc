@@ -42,15 +42,6 @@ std::string stats_fingerprint(const StageStats& s) {
   return out;
 }
 
-const char* status_name(SolveResult::Status s) {
-  switch (s) {
-    case SolveResult::Status::kEncoded: return "encoded";
-    case SolveResult::Status::kInfeasible: return "infeasible";
-    case SolveResult::Status::kTruncated: return "truncated";
-  }
-  return "?";
-}
-
 SolveOptions solve_options(const DifferentialOptions& opts, int threads) {
   SolveOptions so;
   so.exec.threads = threads;
@@ -161,10 +152,10 @@ FuzzCaseResult run_differential_case(const ConstraintSet& cs,
     if (a.status != b.status || a.encoding.bits != b.encoding.bits ||
         a.encoding.codes != b.encoding.codes || !counters_equal(a, b))
       diverge(FuzzRule::kThreads,
-              std::string("threads=1 -> ") + status_name(a.status) + " " +
-                  std::to_string(a.encoding.bits) + " bits, threads=" +
+              std::string("threads=1 -> ") + solve_status_name(a.status) +
+                  " " + std::to_string(a.encoding.bits) + " bits, threads=" +
                   std::to_string(opts.alt_threads) + " -> " +
-                  status_name(b.status) + " " +
+                  solve_status_name(b.status) + " " +
                   std::to_string(b.encoding.bits) + " bits");
     if (stats_fingerprint(a.stats) != stats_fingerprint(b.stats))
       diverge(FuzzRule::kStats,
@@ -213,7 +204,7 @@ FuzzCaseResult run_differential_case(const ConstraintSet& cs,
       diverge(FuzzRule::kFeasibility,
               std::string("feasibility says ") +
                   (feas.feasible ? "feasible" : "infeasible") +
-                  " but encode returned " + status_name(a.status));
+                  " but encode returned " + solve_status_name(a.status));
     if (has_extensions && !feas.feasible &&
         a.status == SolveResult::Status::kEncoded)
       diverge(FuzzRule::kFeasibility,
@@ -249,10 +240,12 @@ FuzzCaseResult run_differential_case(const ConstraintSet& cs,
           c2.minimal != c3.minimal || c2.truncation != c3.truncation ||
           !counters_equal(c2, c3))
         diverge(FuzzRule::kCache,
-                std::string("warm-cache solve -> ") + status_name(c2.status) +
-                    " " + std::to_string(c2.encoding.bits) +
-                    " bits, fresh-cache solve -> " + status_name(c3.status) +
-                    " " + std::to_string(c3.encoding.bits) + " bits");
+                std::string("warm-cache solve -> ") +
+                    solve_status_name(c2.status) + " " +
+                    std::to_string(c2.encoding.bits) +
+                    " bits, fresh-cache solve -> " +
+                    solve_status_name(c3.status) + " " +
+                    std::to_string(c3.encoding.bits) + " bits");
       for (const SolveResult* r : {&c1, &c2})
         if (r->status == SolveResult::Status::kEncoded) {
           const auto violations =
@@ -308,11 +301,11 @@ FuzzCaseResult run_differential_case(const ConstraintSet& cs,
          t1.encoding.codes != tn.encoding.codes || !counters_equal(t1, tn)))
       diverge(FuzzRule::kBinateTruncation,
               std::string("tiny cover budget: threads=1 -> ") +
-                  status_name(t1.status) + "/" +
+                  solve_status_name(t1.status) + "/" +
                   truncation_name(t1.truncation) + " " +
                   std::to_string(t1.encoding.bits) + " bits, threads=" +
                   std::to_string(opts.alt_threads) + " -> " +
-                  status_name(tn.status) + "/" +
+                  solve_status_name(tn.status) + "/" +
                   truncation_name(tn.truncation) + " " +
                   std::to_string(tn.encoding.bits) + " bits");
   }

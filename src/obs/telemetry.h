@@ -4,7 +4,7 @@
 //
 //   {"schema":"encodesat-telemetry-v2",
 //    "tool":"solve",                       // emitting binary/subcommand
-//    "stats":{...} | null,                 // StageStats tree (--stats-json)
+//    "stats":{...} | null,                 // the run's StageStats tree
 //    "counters":{"name":value,...},        // MetricsRegistry, name-sorted
 //    "counter_fingerprint":"<16 hex>",     // FNV-1a of the fingerprint
 //    "gauges":{"name":value,...},          // point-in-time values supplied

@@ -116,8 +116,8 @@ SolveResponse Broker::rejected(const std::string& id, const char* why) {
 
 bool Broker::submit(SolveRequest req, Callback cb) {
   Item item;
-  double deadline_s = req.deadline_seconds > 0
-                          ? req.deadline_seconds
+  double deadline_s = req.options.exec.timeout_seconds > 0
+                          ? req.options.exec.timeout_seconds
                           : cfg_.default_deadline_seconds;
   // The wire layer already bounds deadline_s, but submit() is a public
   // entry point: past ~1e9 s the duration_cast below overflows on
@@ -205,13 +205,11 @@ void Broker::run_item(Item item) {
     in_flight_.fetch_sub(1, std::memory_order_relaxed);
     return;
   }
-  if (item.has_deadline) {
-    // Queue wait counts against the request: solve with what remains.
-    item.req.deadline_seconds =
-        std::chrono::duration<double>(item.deadline - dequeued).count();
-  } else {
-    item.req.deadline_seconds = 0;
-  }
+  // Queue wait counts against the request: solve with what remains.
+  item.req.options.exec.timeout_seconds =
+      item.has_deadline
+          ? std::chrono::duration<double>(item.deadline - dequeued).count()
+          : 0;
   // Infra wiring is the broker's, not the client's: one shared cache and
   // in-flight table, the server's tracer/metrics.
   item.req.options.cache.store = cfg_.cache;

@@ -13,11 +13,12 @@
 //    begun), submit() rejects *inline* — the callback fires with
 //    StatusCode::kOverloaded on the submitting thread and submit() returns
 //    false. Rejection is explicit and immediate, never a silent drop.
-//  * Deadline: each request's deadline (its own, or the broker default)
-//    is fixed as an absolute time point at submit, so time spent queued
-//    counts against it. A request whose deadline has already passed at
-//    dequeue completes as kTimeout/deadline without touching the solver;
-//    one dequeued in time runs with the *remaining* budget.
+//  * Deadline: each request's deadline (its options.exec.timeout_seconds,
+//    or the broker default) is fixed as an absolute time point at submit,
+//    so time spent queued counts against it. A request whose deadline has
+//    already passed at dequeue completes as kTimeout/deadline without
+//    touching the solver; one dequeued in time runs with the *remaining*
+//    budget.
 //  * Drain: drain(kFinishQueued) — EOF semantics — stops admission and
 //    lets workers finish everything queued. drain(kRejectQueued) — SIGTERM
 //    semantics — additionally completes still-queued requests as
@@ -75,8 +76,9 @@ struct BrokerConfig {
   /// Deadline applied to requests that carry none; 0 = none.
   double default_deadline_seconds = 0;
   /// Template options for each solve. The broker overwrites the cache
-  /// wiring (cache.store / cache.single_flight) and the exec tracer and
-  /// metrics pointers below; everything else passes through.
+  /// wiring (cache.store / cache.single_flight), the exec tracer and
+  /// metrics pointers below and exec.timeout_seconds (the time left before
+  /// the request's deadline); everything else passes through.
   SolveOptions base_options;
   /// Shared solve cache; null runs uncached (coalescing still applies).
   SolveCache* cache = nullptr;
@@ -89,8 +91,8 @@ struct BrokerConfig {
   RequestLog* reqlog = nullptr;
   /// Test seam: replaces the core solve() call when set. Admission,
   /// deadline and drain handling still apply; the injected function sees
-  /// the fully-prepared request (infra wired, deadline_seconds = remaining
-  /// time). Must be thread-safe.
+  /// the fully-prepared request (infra wired, options.exec.timeout_seconds
+  /// = remaining time). Must be thread-safe.
   std::function<SolveResponse(const SolveRequest&)> solve_fn;
 };
 

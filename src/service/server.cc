@@ -318,7 +318,7 @@ void Server::handle_line(const std::shared_ptr<Session>& session,
   req.id = wire.id;
   req.constraints = std::move(*cs);
   req.options = std::move(opts);
-  req.deadline_seconds = wire.deadline_seconds;
+  req.options.exec.timeout_seconds = wire.deadline_seconds;
   broker_.submit(std::move(req),
                  [session, seq, symbols = std::move(symbols)](
                      SolveResponse resp) {

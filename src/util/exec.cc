@@ -1,5 +1,6 @@
 #include "util/exec.h"
 
+#include <cstring>
 #include <sstream>
 
 namespace encodesat {
@@ -14,6 +15,17 @@ const char* truncation_name(Truncation t) {
     case Truncation::kCancelled: return "cancelled";
   }
   return "unknown";
+}
+
+bool truncation_from_name(const char* name, Truncation* out) {
+  for (Truncation t :
+       {Truncation::kNone, Truncation::kDeadline, Truncation::kWorkBudget,
+        Truncation::kTermLimit, Truncation::kNodeLimit, Truncation::kCancelled})
+    if (!std::strcmp(name, truncation_name(t))) {
+      if (out) *out = t;
+      return true;
+    }
+  return false;
 }
 
 StageStats* StageStats::add_child(const std::string& child_name) {

@@ -63,6 +63,9 @@ enum class Truncation : std::uint8_t {
 /// Stable lower-case name ("none", "deadline", ...) for logs and JSON.
 const char* truncation_name(Truncation t);
 
+/// Inverse of truncation_name; returns false for unknown names.
+bool truncation_from_name(const char* name, Truncation* out);
+
 /// Cooperative cancellation flag, sharable across threads. The requesting
 /// side calls `cancel()`; pipeline stages observe it through Budget::poll.
 class CancelToken {

@@ -116,7 +116,7 @@ TEST(Extensions, PrimeLimitPropagates) {
 TEST(BinateTable, OutputOnlyProblem) {
   const ConstraintSet cs = parse_constraints("dominance a b\nsymbol c");
   const auto res = binate_table_encode(cs);
-  ASSERT_TRUE(res.feasible);
+  ASSERT_TRUE(res.encoded());
   const auto v = verify_encoding(res.encoding, cs);
   EXPECT_TRUE(v.empty());
 }

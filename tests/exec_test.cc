@@ -88,6 +88,15 @@ TEST(TruncationName, StableNames) {
   EXPECT_STREQ(truncation_name(Truncation::kTermLimit), "term_limit");
   EXPECT_STREQ(truncation_name(Truncation::kNodeLimit), "node_limit");
   EXPECT_STREQ(truncation_name(Truncation::kCancelled), "cancelled");
+  for (const Truncation t :
+       {Truncation::kNone, Truncation::kDeadline, Truncation::kWorkBudget,
+        Truncation::kTermLimit, Truncation::kNodeLimit,
+        Truncation::kCancelled}) {
+    Truncation back = Truncation::kNone;
+    ASSERT_TRUE(truncation_from_name(truncation_name(t), &back));
+    EXPECT_EQ(back, t);
+  }
+  EXPECT_FALSE(truncation_from_name("unknown", nullptr));
 }
 
 TEST(StageStats, TreeAndFind) {

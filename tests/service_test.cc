@@ -205,7 +205,7 @@ TEST(ServiceInFlight, LeaderFollowersAndLateHitDeterministic) {
   InFlightTable table;
   const std::string key = "k#0";
 
-  CachedSolve hit;
+  SolveOutcome hit;
   std::shared_ptr<InFlightTable::Slot> leader, f1, f2;
   ASSERT_EQ(table.join(&cache, key, &hit, &leader),
             InFlightTable::Join::kLeader);
@@ -214,23 +214,23 @@ TEST(ServiceInFlight, LeaderFollowersAndLateHitDeterministic) {
   ASSERT_EQ(table.join(&cache, key, &hit, &f2),
             InFlightTable::Join::kFollower);
 
-  CachedSolve value;
-  value.status = 0;
-  value.bits = 2;
-  value.codes = {0, 1, 3};
+  SolveOutcome value;
+  value.status = SolveOutcome::Status::kEncoded;
+  value.encoding.bits = 2;
+  value.encoding.codes = {0, 1, 3};
   table.publish(&cache, key, leader, value);
 
-  CachedSolve got;
+  SolveOutcome got;
   ASSERT_TRUE(f1->wait(false, {}, &got));
-  EXPECT_EQ(got.codes, value.codes);
+  EXPECT_EQ(got.encoding.codes, value.encoding.codes);
   ASSERT_TRUE(f2->wait(false, {}, &got));
-  EXPECT_EQ(got.bits, 2);
+  EXPECT_EQ(got.encoding.bits, 2);
 
   // After publish the key is out of the table and in the cache: a late
   // arrival is a plain hit.
   std::shared_ptr<InFlightTable::Slot> late;
   EXPECT_EQ(table.join(&cache, key, &hit, &late), InFlightTable::Join::kHit);
-  EXPECT_EQ(hit.codes, value.codes);
+  EXPECT_EQ(hit.encoding.codes, value.encoding.codes);
 
   const CoalesceStats s = table.stats();
   EXPECT_EQ(s.leaders, 1u);
@@ -245,14 +245,14 @@ TEST(ServiceInFlight, LeaderFollowersAndLateHitDeterministic) {
 
 TEST(ServiceInFlight, AbandonWakesFollowersEmptyHanded) {
   InFlightTable table;
-  CachedSolve hit;
+  SolveOutcome hit;
   std::shared_ptr<InFlightTable::Slot> leader, follower;
   ASSERT_EQ(table.join(nullptr, "k", &hit, &leader),
             InFlightTable::Join::kLeader);
   ASSERT_EQ(table.join(nullptr, "k", &hit, &follower),
             InFlightTable::Join::kFollower);
   table.abandon("k", leader);
-  CachedSolve got;
+  SolveOutcome got;
   EXPECT_FALSE(follower->wait(false, {}, &got));
   EXPECT_TRUE(follower->abandoned());
   EXPECT_EQ(table.stats().abandoned, 1u);
@@ -260,13 +260,13 @@ TEST(ServiceInFlight, AbandonWakesFollowersEmptyHanded) {
 
 TEST(ServiceInFlight, FollowerDeadlineExpiresWhileWaiting) {
   InFlightTable table;
-  CachedSolve hit;
+  SolveOutcome hit;
   std::shared_ptr<InFlightTable::Slot> leader, follower;
   ASSERT_EQ(table.join(nullptr, "k", &hit, &leader),
             InFlightTable::Join::kLeader);
   ASSERT_EQ(table.join(nullptr, "k", &hit, &follower),
             InFlightTable::Join::kFollower);
-  CachedSolve got;
+  SolveOutcome got;
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::milliseconds(20);
   EXPECT_FALSE(follower->wait(true, deadline, &got));
@@ -552,8 +552,8 @@ TEST(ServiceBroker, DeadlineExpiresWhileQueued) {
   EXPECT_TRUE(broker.submit(named_request("blocker"), out.collector()));
   gate.wait_entered(1);
   SolveRequest victim = named_request("victim");
-  victim.deadline_seconds = 0.02;  // expires while the blocker holds the
-                                   // only worker
+  victim.options.exec.timeout_seconds = 0.02;  // expires while the blocker
+                                               // holds the only worker
   EXPECT_TRUE(broker.submit(std::move(victim), out.collector()));
   std::this_thread::sleep_for(std::chrono::milliseconds(60));
   gate.release();

@@ -1,10 +1,10 @@
-// Golden-file test pinning the `encodesat_cli solve --stats-json` output
-// schema. The CLI prints SolveResult::stats.to_json() verbatim, so this
-// pins the same serialization at the library level: stage names, tree
-// structure, key set and key order are all frozen by a committed golden
-// file. Volatile numbers (elapsed_s always; work/items for the schema
-// comparison) are normalized to 0 — the *shape* is the contract, see
-// docs/API.md. Regenerate with:
+// Golden-file test pinning the stats tree in `encodesat_cli solve
+// --stats-out` telemetry. The CLI embeds SolveResult::stats.to_json()
+// verbatim, so this pins the same serialization at the library level:
+// stage names, tree structure, key set and key order are all frozen by a
+// committed golden file. Volatile numbers (elapsed_s always; work/items
+// for the schema comparison) are normalized to 0 — the *shape* is the
+// contract, see docs/API.md. Regenerate with:
 //
 //   ./build/tests/encodesat_tests --gtest_also_run_disabled_tests
 //       --gtest_filter='*StatsJsonGolden*PrintCurrent'
