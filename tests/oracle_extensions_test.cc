@@ -1,6 +1,6 @@
 // Brute-force oracle tests for the Section 8 extension solver: on tiny
 // universes, enumerate every injective code assignment and compare
-// feasibility (and bound the length) against encode_with_extensions.
+// feasibility (and bound the length) against the extension pipeline.
 #include <gtest/gtest.h>
 
 #include "core/extensions.h"
