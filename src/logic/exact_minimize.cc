@@ -24,16 +24,12 @@ std::vector<Cube> cube_consensus_all(const Domain& dom, const Cube& a,
   Cube join = a;
   join.bits |= b.bits;
 
-  auto part_empty = [&](const Cube& c, int off, int len) {
-    for (int i = 0; i < len; ++i)
-      if (c.bits.test(static_cast<std::size_t>(off + i))) return false;
-    return true;
-  };
-  auto consensus_at = [&](int off, int len) -> std::optional<Cube> {
+  auto consensus_at = [&](int part) -> std::optional<Cube> {
     // Valid only if every *other* part of the meet is nonempty, i.e. the
     // only possible conflict is at this part.
-    if (d == 1 && !part_empty(meet, off, len)) return std::nullopt;
+    if (d == 1 && !cube_part_empty(dom, meet, part)) return std::nullopt;
     Cube c = meet;
+    const int off = dom.part_offset(part), len = dom.part_size(part);
     for (int i = 0; i < len; ++i)
       c.bits.assign(static_cast<std::size_t>(off + i),
                     join.bits.test(static_cast<std::size_t>(off + i)));
@@ -42,11 +38,8 @@ std::vector<Cube> cube_consensus_all(const Domain& dom, const Cube& a,
   };
 
   std::vector<Cube> out;
-  for (int v = 0; v < dom.num_inputs(); ++v)
-    if (auto c = consensus_at(dom.input_offset(v), dom.input_size(v)))
-      out.push_back(std::move(*c));
-  if (auto c = consensus_at(dom.output_offset(), dom.num_outputs()))
-    out.push_back(std::move(*c));
+  for (int p = 0; p < dom.num_parts(); ++p)
+    if (auto c = consensus_at(p)) out.push_back(std::move(*c));
   return out;
 }
 

@@ -7,30 +7,11 @@ namespace encodesat {
 
 namespace {
 
-// Uniform view of the parts of a domain: num_inputs() input parts followed
-// by the output part, addressed as "part index" 0..num_inputs().
-int num_parts(const Domain& dom) { return dom.num_inputs() + 1; }
-
-int part_offset(const Domain& dom, int part) {
-  return part < dom.num_inputs() ? dom.input_offset(part) : dom.output_offset();
-}
-
-int part_size(const Domain& dom, int part) {
-  return part < dom.num_inputs() ? dom.input_size(part) : dom.num_outputs();
-}
-
-bool cube_part_full(const Domain& dom, const Cube& c, int part) {
-  const int off = part_offset(dom, part), len = part_size(dom, part);
-  for (int i = 0; i < len; ++i)
-    if (!c.bits.test(static_cast<std::size_t>(off + i))) return false;
-  return true;
-}
-
 // The literal cube for (part, value): full everywhere except the given part,
 // which admits only `value`.
 Cube literal_cube(const Domain& dom, int part, int value) {
   Cube c = full_cube(dom);
-  const int off = part_offset(dom, part), len = part_size(dom, part);
+  const int off = dom.part_offset(part), len = dom.part_size(part);
   for (int i = 0; i < len; ++i)
     if (i != value) c.bits.reset(static_cast<std::size_t>(off + i));
   return c;
@@ -42,7 +23,7 @@ Cube literal_cube(const Domain& dom, int part, int value) {
 int select_binate_part(const Cover& f) {
   const Domain& dom = f.domain();
   int best = -1, best_count = 0;
-  for (int p = 0; p < num_parts(dom); ++p) {
+  for (int p = 0; p < dom.num_parts(); ++p) {
     int cnt = 0;
     for (const Cube& c : f)
       if (!cube_part_full(dom, c, p)) ++cnt;
@@ -74,8 +55,8 @@ void unate_reduce(Cover& f) {
   bool changed = true;
   while (changed && !f.empty()) {
     changed = false;
-    for (int p = 0; p < num_parts(dom) && !changed; ++p) {
-      const int off = part_offset(dom, p), len = part_size(dom, p);
+    for (int p = 0; p < dom.num_parts() && !changed; ++p) {
+      const int off = dom.part_offset(p), len = dom.part_size(p);
       // Union of the part over cubes that are NOT full in this part.
       std::vector<bool> seen(static_cast<std::size_t>(len), false);
       bool any_nonfull = false;
@@ -117,7 +98,7 @@ bool is_tautology_rec(Cover f) {
   const int p = select_binate_part(f);
   if (p < 0) return f.has_full_cube();
   const Domain& dom = f.domain();
-  for (int j = 0; j < part_size(dom, p); ++j) {
+  for (int j = 0; j < dom.part_size(p); ++j) {
     const Cube lit = literal_cube(dom, p, j);
     if (!is_tautology_rec(cover_cofactor(f, lit))) return false;
   }
@@ -139,7 +120,7 @@ Cover complement_rec(Cover f) {
   const int p = select_binate_part(f);
   assert(p >= 0);
   Cover out(dom);
-  for (int j = 0; j < part_size(dom, p); ++j) {
+  for (int j = 0; j < dom.part_size(p); ++j) {
     const Cube lit = literal_cube(dom, p, j);
     Cover sub = complement_rec(cover_cofactor(f, lit));
     for (const Cube& c : sub) {
