@@ -61,32 +61,24 @@ std::pair<Cover, Cover> encoded_constraint_function(const Encoding& enc,
   }
 
   // Unused code points are DC for every constraint. Enumerate the code
-  // space only when small; otherwise complement the used-code cover, which
-  // is exact and cheap for the code lengths encoding produces (<= ~16).
+  // space when small; otherwise complement the used-code cover, which is
+  // exact at any code length and cheap for the few codes an encoding uses.
   Bitset all_outs(nf);
   all_outs.set_all();
-  if (enc.bits <= 20) {
-    std::vector<bool> used(std::size_t{1} << enc.bits, false);
-    for (std::uint32_t s = 0; s < n; ++s) used[enc.codes[s]] = true;
+  if (enc.bits <= 12) {
+    Bitset used(std::size_t{1} << enc.bits);
+    for (std::uint32_t s = 0; s < n; ++s) used.set(enc.codes[s]);
+    for (std::uint64_t code = 0; code < (std::uint64_t{1} << enc.bits); ++code)
+      if (!used.test(code)) dc.add(code_minterm(dom, code, all_outs));
+  } else {
     Cover used_cover(dom);
     for (std::uint32_t s = 0; s < n; ++s)
       used_cover.add(code_minterm(dom, enc.codes[s], all_outs));
-    // Complement in the input space: build via URP on a single-output view
-    // would also work, but direct enumeration is clearer and bounded here
-    // only for tiny spaces; otherwise use the complement of used codes.
-    if (enc.bits <= 12) {
-      for (std::uint64_t code = 0; code < (std::uint64_t{1} << enc.bits);
-           ++code)
-        if (!used[code]) dc.add(code_minterm(dom, code, all_outs));
-    } else {
-      // Larger spaces: add the complement cover of the used minterms.
-      Cover comp = complement(used_cover);
-      for (const Cube& c : comp) {
-        Cube d = c;
-        for (int o = 0; o < dom.num_outputs(); ++o)
-          d.bits.set(static_cast<std::size_t>(dom.out_pos(o)));
-        dc.add(d);
-      }
+    for (const Cube& c : complement(used_cover)) {
+      Cube d = c;
+      for (int o = 0; o < dom.num_outputs(); ++o)
+        d.bits.set(static_cast<std::size_t>(dom.out_pos(o)));
+      dc.add(d);
     }
   }
   return {std::move(on), std::move(dc)};

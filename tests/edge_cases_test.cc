@@ -147,6 +147,42 @@ TEST(MultiOutputConstraintFunction, BuilderShapes) {
   EXPECT_TRUE(found_unused);
 }
 
+// Unused code points are don't-cares at every code length: enumerated up
+// to 12 bits, complemented from the used codes above (21 bits included).
+TEST(MultiOutputConstraintFunction, UnusedCodesAreDontCaresAtAnyLength) {
+  const ConstraintSet cs = parse_constraints("face a b\nsymbol c");
+  for (const int bits : {12, 13, 20, 21}) {
+    SCOPED_TRACE(bits);
+    Encoding enc;
+    enc.bits = bits;
+    enc.codes = {0, 1, 2};
+    const auto [on, dc] = encoded_constraint_function(enc, cs);
+    const Domain& dom = dc.domain();
+    ASSERT_EQ(dom.num_inputs(), bits);
+    auto point = [&](std::uint64_t code) {
+      Cube c(dom);
+      for (int v = 0; v < bits; ++v)
+        c.bits.set(static_cast<std::size_t>(
+            dom.pos(v, static_cast<int>((code >> v) & 1u))));
+      c.bits.set(static_cast<std::size_t>(dom.out_pos(0)));
+      return c;
+    };
+    auto dc_contains = [&](std::uint64_t code) {
+      for (const Cube& c : dc)
+        if (cube_contains(c, point(code))) return true;
+      return false;
+    };
+    auto dc_meets = [&](std::uint64_t code) {
+      for (const Cube& c : dc)
+        if (cubes_intersect(dom, c, point(code))) return true;
+      return false;
+    };
+    EXPECT_TRUE(dc_contains(3));
+    EXPECT_TRUE(dc_contains((std::uint64_t{1} << bits) - 1));
+    for (const std::uint64_t used : enc.codes) EXPECT_FALSE(dc_meets(used));
+  }
+}
+
 TEST(Espresso, StatsPopulated) {
   const Domain dom = Domain::binary(2, 1);
   Cover on(dom);
