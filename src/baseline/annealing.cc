@@ -12,6 +12,13 @@ namespace encodesat {
 
 namespace {
 
+// Geometric cooling schedule: the temperature starts at kInitialTemperature
+// and is multiplied by kCooling after each temperature point.
+constexpr double kInitialTemperature = 4.0;
+constexpr double kCooling = 0.85;
+// Seed of the move generator and the acceptance draws.
+constexpr std::uint64_t kSeed = 99;
+
 long evaluate(const Encoding& enc, const ConstraintSet& cs, CostKind kind,
               int* evals) {
   ++*evals;
@@ -31,7 +38,7 @@ AnnealResult anneal_encode(const ConstraintSet& cs, int bits,
   if (bits > 20) throw std::invalid_argument("code length too large");
   const std::uint64_t space = std::uint64_t{1} << bits;
 
-  Rng rng(opts.seed);
+  Rng rng(kSeed);
   AnnealResult res;
   res.encoding.bits = bits;
   res.encoding.codes.assign(n, 0);
@@ -52,7 +59,7 @@ AnnealResult anneal_encode(const ConstraintSet& cs, int bits,
   Encoding best = current;
   long best_cost = cur_cost;
 
-  double temperature = opts.initial_temperature;
+  double temperature = kInitialTemperature;
   for (int tp = 0; tp < opts.temperature_points; ++tp) {
     for (int mv = 0; mv < opts.moves_per_temperature; ++mv) {
       Encoding trial = current;
@@ -88,7 +95,7 @@ AnnealResult anneal_encode(const ConstraintSet& cs, int bits,
         }
       }
     }
-    temperature *= opts.cooling;
+    temperature *= kCooling;
   }
 
   res.encoding = best;

@@ -5,8 +5,6 @@
 // with encoding don't-cares).
 #pragma once
 
-#include <cstdint>
-
 #include "core/constraints.h"
 #include "core/cost.h"
 #include "core/encoding.h"
@@ -18,9 +16,6 @@ struct AnnealOptions {
   /// Moves attempted per temperature point (the paper varies 4 vs 10).
   int moves_per_temperature = 10;
   int temperature_points = 40;
-  double initial_temperature = 4.0;
-  double cooling = 0.85;
-  std::uint64_t seed = 99;
 };
 
 struct AnnealResult {

@@ -14,14 +14,18 @@ namespace encodesat {
 
 namespace {
 
+// Passes of the swap / move-to-free-code improvement loop.
+constexpr int kImprovementPasses = 6;
+// Seed of the random tie-break in the greedy placement.
+constexpr std::uint64_t kSeed = 7;
+
 int count_satisfied(const Encoding& enc, const ConstraintSet& cs) {
   return count_satisfied_faces(enc, cs);
 }
 
 }  // namespace
 
-Encoding nova_encode(const ConstraintSet& cs, int bits,
-                     const NovaOptions& opts) {
+Encoding nova_encode(const ConstraintSet& cs, int bits) {
   const std::uint32_t n = cs.num_symbols();
   if (bits < minimum_code_length(n))
     throw std::invalid_argument("code length too small for symbol count");
@@ -41,7 +45,7 @@ Encoding nova_encode(const ConstraintSet& cs, int bits,
                      return weight[a] > weight[b];
                    });
 
-  Rng rng(opts.seed);
+  Rng rng(kSeed);
   Encoding enc;
   enc.bits = bits;
   enc.codes.assign(n, 0);
@@ -80,7 +84,7 @@ Encoding nova_encode(const ConstraintSet& cs, int bits,
   // Iterative improvement: swap two symbols' codes, or move a symbol to a
   // free code, accepting strict improvements in satisfied faces.
   int best = count_satisfied(enc, cs);
-  for (int pass = 0; pass < opts.improvement_passes; ++pass) {
+  for (int pass = 0; pass < kImprovementPasses; ++pass) {
     bool improved = false;
     for (std::uint32_t a = 0; a < n; ++a) {
       for (std::uint32_t b = a + 1; b < n; ++b) {

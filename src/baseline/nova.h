@@ -9,22 +9,14 @@
 // minimum code length).
 #pragma once
 
-#include <cstdint>
-
 #include "core/constraints.h"
 #include "core/encoding.h"
 
 namespace encodesat {
 
-struct NovaOptions {
-  int improvement_passes = 6;
-  std::uint64_t seed = 7;
-};
-
 /// Encodes all symbols in `bits` bits (bits >= ceil(log2 n)) maximizing
 /// satisfied face constraints. Output constraints are ignored (NOVA's
 /// constraint satisfaction handles input constraints).
-Encoding nova_encode(const ConstraintSet& cs, int bits,
-                     const NovaOptions& opts = {});
+Encoding nova_encode(const ConstraintSet& cs, int bits);
 
 }  // namespace encodesat

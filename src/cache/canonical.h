@@ -8,7 +8,7 @@
 // (Weisfeiler–Lehman refinement plus individualization, minimizing the
 // rendered key over the explored labelings), constraints are rewritten in
 // canonical member order and sorted per class, and the result is rendered
-// as a single-line `key` with a 128-bit structural hash over it.
+// as a single-line `key`.
 //
 // Soundness vs completeness: the key retains the full structure, so equal
 // keys always mean isomorphic instances — a cache that compares keys on
@@ -29,21 +29,6 @@
 
 namespace encodesat {
 
-/// 128-bit structural hash (two independent FNV-1a lanes over the key).
-struct Hash128 {
-  std::uint64_t hi = 0;
-  std::uint64_t lo = 0;
-
-  bool operator==(const Hash128& o) const { return hi == o.hi && lo == o.lo; }
-  bool operator!=(const Hash128& o) const { return !(*this == o); }
-
-  /// 32 hex digits, hi lane first.
-  std::string to_hex() const;
-};
-
-/// Computes the structural hash of an arbitrary byte string.
-Hash128 hash128(const std::string& bytes);
-
 /// The bijection between original and canonical symbol indices; results
 /// computed in canonical space map back through `from_canonical`.
 struct SymbolPermutation {
@@ -60,8 +45,6 @@ struct CanonicalSet {
   /// Single-line canonical rendering — the cache key material. Equal keys
   /// mean isomorphic instances (and vice versa when `exact`).
   std::string key;
-  /// hash128(key), for sharding and compact fingerprints.
-  Hash128 hash;
   /// True when the refinement search ran to completion, making the key
   /// invariant under any symbol renaming. False after a leaf-budget
   /// fallback: the key is still deterministic for this in-memory instance,

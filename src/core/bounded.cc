@@ -30,6 +30,10 @@ namespace {
 // Restricted cost evaluation
 // ---------------------------------------------------------------------------
 
+// Cost evaluations inside the recursion and the polish use single-pass
+// ESPRESSO; only the returned encoding's cost is evaluated in full.
+constexpr bool kFastCost = true;
+
 // Builds the constraint set restricted to subset P (paper, Section 7.1
 // "Selection of best restricted dichotomies": the global constraints are
 // restricted to the subset's symbols). Faces keep their members and
@@ -101,7 +105,7 @@ struct Evaluator {
       return static_cast<long>(restricted.faces().size()) -
              count_satisfied_faces(enc, restricted);
     const EncodingCost c =
-        evaluate_encoding_cost(enc, restricted, opts.fast_cost);
+        evaluate_encoding_cost(enc, restricted, kFastCost);
     return c.by_kind(opts.cost);
   }
 };
@@ -133,12 +137,16 @@ int partition_cut(const ConstraintSet& cs,
   return cut;
 }
 
+// Passes of the partition-improvement loop per start.
+constexpr int kKlPasses = 8;
+// Seed of the initial partitions; each start mixes in its subset's salt.
+constexpr std::uint64_t kSplitSeed = 1;
+
 // Splits `subset` into two non-empty parts, each of size <= part_cap,
 // minimizing the cut by steepest single-move descent from a seeded split.
 std::pair<std::vector<std::uint32_t>, std::vector<std::uint32_t>>
 split_subset(const ConstraintSet& cs, const std::vector<std::uint32_t>& subset,
-             std::size_t part_cap, const BoundedEncodeOptions& opts,
-             std::uint64_t salt) {
+             std::size_t part_cap, std::uint64_t salt) {
   const std::size_t k = subset.size();
   assert(k >= 2);
 
@@ -149,7 +157,7 @@ split_subset(const ConstraintSet& cs, const std::vector<std::uint32_t>& subset,
   int best_overall = -1;
   const int starts = 3;
   for (int start = 0; start < starts; ++start) {
-    Rng rng(opts.seed * 0x9e3779b97f4a7c15ull + salt * 131 +
+    Rng rng(kSplitSeed * 0x9e3779b97f4a7c15ull + salt * 131 +
             static_cast<std::uint64_t>(start));
     std::vector<bool> side(k, false);
     {
@@ -171,7 +179,7 @@ split_subset(const ConstraintSet& cs, const std::vector<std::uint32_t>& subset,
     };
 
     int best_cut = partition_cut(cs, subset, side);
-    for (int pass = 0; pass < opts.kl_passes; ++pass) {
+    for (int pass = 0; pass < kKlPasses; ++pass) {
       bool improved = false;
       for (std::size_t i = 0; i < k; ++i) {
         // Try moving symbol i to the other side if both sides stay legal.
@@ -271,7 +279,7 @@ struct RecursiveEncoder {
                                      ? std::numeric_limits<std::size_t>::max()
                                      : (std::size_t{1} << (length - 1));
 
-    auto [p1, p2] = split_subset(cs, subset, part_cap, opts, salt);
+    auto [p1, p2] = split_subset(cs, subset, part_cap, salt);
     std::vector<Dichotomy> d1 = encode_subset(p1, length - 1, salt * 2 + 1);
     std::vector<Dichotomy> d2 = encode_subset(p2, length - 1, salt * 2 + 2);
 
@@ -381,6 +389,9 @@ struct RecursiveEncoder {
 // Final polish: pairwise code swaps with incremental cost re-evaluation
 // ---------------------------------------------------------------------------
 
+// Budget of per-face cost evaluations the polish may spend.
+constexpr int kPolishEvalBudget = 60000;
+
 // Swapping the codes of two symbols leaves a face's cost untouched unless
 // the pair sits asymmetrically in it (one in members/don't-cares, the other
 // not, or one member vs one don't-care): the member, don't-care and
@@ -411,7 +422,7 @@ void polish_by_swaps(Encoding& enc, const ConstraintSet& cs,
     if ((evals & 63) == 0) ctx.poll();
     const FaceCost fc =
         evaluate_face_cost(enc, cs, cs.faces()[i], live_unused_dc,
-                           /*fast=*/opts.fast_cost);
+                           /*fast=*/kFastCost);
     switch (opts.cost) {
       case CostKind::kViolatedFaces: return fc.satisfied ? 0 : 1;
       case CostKind::kCubes: return fc.cubes;
@@ -448,7 +459,7 @@ void polish_by_swaps(Encoding& enc, const ConstraintSet& cs,
     for (std::uint32_t a = 0; a < n; ++a) {
       // Pairwise swaps.
       for (std::uint32_t b = a + 1; b < n; ++b) {
-        if (evals >= opts.polish_eval_budget || ctx.exhausted()) return;
+        if (evals >= kPolishEvalBudget || ctx.exhausted()) return;
         std::vector<std::size_t> affected;
         for (std::size_t i = 0; i < nf; ++i)
           if (cat[i][a] != cat[i][b]) affected.push_back(i);
@@ -477,7 +488,7 @@ void polish_by_swaps(Encoding& enc, const ConstraintSet& cs,
       // re-evaluation).
       const std::size_t free_tries = std::min<std::size_t>(free_codes.size(), 8);
       for (std::size_t fi = 0; fi < free_tries; ++fi) {
-        if (evals + static_cast<int>(nf) >= opts.polish_eval_budget ||
+        if (evals + static_cast<int>(nf) >= kPolishEvalBudget ||
             ctx.exhausted())
           break;
         const std::uint64_t old_code = enc.codes[a];

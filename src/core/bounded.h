@@ -29,17 +29,9 @@ struct BoundedEncodeOptions {
   /// Budget of cost evaluations per selection step; beyond it the selection
   /// falls back from exhaustive enumeration to greedy + hill climbing.
   int max_selection_evals = 400;
-  /// Passes of the partition-improvement loop.
-  int kl_passes = 8;
-  /// Seed for the initial partition.
-  std::uint64_t seed = 1;
-  /// Use single-pass ESPRESSO for cost evaluation inside the recursion.
-  bool fast_cost = true;
   /// Passes of the final pairwise-swap improvement on the derived codes
   /// (incremental per-face re-evaluation; 0 disables).
   int polish_passes = 3;
-  /// Budget of per-face cost evaluations the polish may spend.
-  int polish_eval_budget = 60000;
 };
 
 struct BoundedEncodeResult {

@@ -4,9 +4,9 @@
 // function F_I over the code space whose ON-set is the member codes,
 // OFF-set the codes of symbols outside the constraint, and DC-set the
 // unused codes (plus the codes of encoding don't-care symbols). A satisfied
-// constraint minimizes to a single product term; the total number of
-// product terms / literals of the multi-output minimized cover measures how
-// well a fixed-length encoding realizes the constraints.
+// constraint minimizes to a single product term; the product terms /
+// literals of each F_I, minimized separately and summed over the
+// constraints, measure how well a fixed-length encoding realizes them.
 #pragma once
 
 #include "core/constraints.h"
@@ -35,14 +35,6 @@ struct EncodingCost {
     return 0;
   }
 };
-
-/// Builds the multi-output constraint function of Fig. 9 (one output per
-/// face constraint) as ON/DC covers over Domain::binary(enc.bits, #faces).
-/// Returns {on, dc}. This is the paper's "single logic minimization of a
-/// multi-output Boolean function" view; the cost functions below use the
-/// exact per-constraint definition instead.
-std::pair<Cover, Cover> encoded_constraint_function(const Encoding& enc,
-                                                    const ConstraintSet& cs);
 
 /// Don't-care cover of the unused code points, over the single-output
 /// Domain::binary(enc.bits, 1) — shared by every per-face evaluation.

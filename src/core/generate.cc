@@ -44,12 +44,4 @@ std::vector<InitialDichotomy> generate_initial_dichotomies(
   return out;
 }
 
-std::vector<Dichotomy> initial_dichotomy_list(
-    const std::vector<InitialDichotomy>& init) {
-  std::vector<Dichotomy> out;
-  out.reserve(init.size());
-  for (const auto& i : init) out.push_back(i.dichotomy);
-  return out;
-}
-
 }  // namespace encodesat

@@ -26,8 +26,4 @@ struct InitialDichotomy {
 std::vector<InitialDichotomy> generate_initial_dichotomies(
     const ConstraintSet& cs);
 
-/// Convenience projection of just the dichotomies.
-std::vector<Dichotomy> initial_dichotomy_list(
-    const std::vector<InitialDichotomy>& init);
-
 }  // namespace encodesat

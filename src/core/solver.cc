@@ -274,8 +274,7 @@ SolveCache* Solver::cache_for(const SolveOptions& opts) const {
   if (!opts.cache.enabled) return nullptr;
   std::lock_guard<std::mutex> lock(cache_mu_);
   if (!owned_cache_)
-    owned_cache_ = std::make_unique<SolveCache>(
-        CacheConfig{opts.cache.shards, opts.cache.max_bytes});
+    owned_cache_ = std::make_unique<SolveCache>(CacheConfig{});
   return owned_cache_.get();
 }
 

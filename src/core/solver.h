@@ -100,17 +100,13 @@ struct SolveOptions {
   BoundedEncodeOptions bounded;
 
   /// Solve cache (src/cache/solve_cache.h). Enable with `enabled = true`
-  /// (the Solver lazily creates and owns a cache, shared by its own
-  /// subsequent solves) or point `store` at an external SolveCache to share
+  /// (the Solver lazily creates and owns a cache with the default
+  /// CacheConfig, shared by its own subsequent solves) or point `store` at an external SolveCache to share
   /// entries across Solver instances and persist them (`--cache-load` /
   /// `--cache-save`); a non-null `store` implies enabled.
   struct Cache {
     bool enabled = false;
     SolveCache* store = nullptr;
-    /// Byte budget / shard count for the lazily-created internal cache
-    /// (ignored when `store` is set — the store keeps its own config).
-    std::size_t max_bytes = 64u << 20;
-    std::size_t shards = 8;
     /// Leaf budget for the canonicalization search; past it the canonical
     /// key is inexact (still sound, may miss renamed duplicates).
     std::size_t max_canon_leaves = 4096;

@@ -203,7 +203,6 @@ ConstraintSet generate_mixed_constraints(const Fsm& fsm,
   // initial dichotomy, which grows roughly quadratically with the states.
   int checks_left = n <= 24 ? 400 : (n <= 40 ? 160 : 64);
   auto feasible_now = [&]() {
-    if (!opts.enforce_feasibility) return true;
     --checks_left;
     return check_feasible(cs, ExecContext{}).feasible;
   };

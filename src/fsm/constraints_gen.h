@@ -35,9 +35,6 @@ struct ConstraintGenOptions {
   /// Upper bounds keeping generated sets comparable to the paper's.
   int max_dominance = 12;
   int max_disjunctive = 4;
-  /// Keep only output constraints that preserve feasibility of the whole
-  /// set (the symbolic minimizer only emits realizable covers).
-  bool enforce_feasibility = true;
 };
 
 /// The one-hot multi-valued cover of the FSM's transition function:
@@ -49,7 +46,9 @@ Cover fsm_symbolic_cover(const Fsm& fsm);
 ConstraintSet generate_input_constraints(const Fsm& fsm,
                                          const ConstraintGenOptions& opts = {});
 
-/// Face constraints plus dominance/disjunctive output constraints.
+/// Face constraints plus dominance/disjunctive output constraints. Only
+/// output constraints that keep the whole set feasible are added (the
+/// symbolic minimizer only emits realizable covers).
 ConstraintSet generate_mixed_constraints(const Fsm& fsm,
                                          const ConstraintGenOptions& opts = {});
 

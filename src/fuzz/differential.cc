@@ -18,6 +18,14 @@ namespace encodesat {
 
 namespace {
 
+// Thread count of the second solver run compared against threads=1.
+constexpr int kAltThreads = 4;
+
+// Per-component cover node budget of the `binate_truncation` rule's two
+// extra solves: deliberately tiny so non-trivial cases truncate inside the
+// binate cover search rather than finishing.
+constexpr std::uint64_t kBinateTruncationNodes = 2;
+
 // Serializes the deterministic part of a stats tree (name, work, items,
 // truncation — wall-clock excluded) for run-to-run comparison. Covers the
 // arena fold counters, which the prime-generation stage reports as work.
@@ -142,7 +150,7 @@ FuzzCaseResult run_differential_case(const ConstraintSet& cs,
   req.options = solve_options(opts, 1);
   req.options.exec.metrics = &ma;
   const SolveResult a = solve(req).result;
-  req.options = solve_options(opts, opts.alt_threads);
+  req.options = solve_options(opts, kAltThreads);
   req.options.exec.metrics = &mb;
   const SolveResult b = solve(req).result;
   out.truncated = a.truncated || b.truncated;
@@ -154,7 +162,7 @@ FuzzCaseResult run_differential_case(const ConstraintSet& cs,
       diverge(FuzzRule::kThreads,
               std::string("threads=1 -> ") + solve_status_name(a.status) +
                   " " + std::to_string(a.encoding.bits) + " bits, threads=" +
-                  std::to_string(opts.alt_threads) + " -> " +
+                  std::to_string(kAltThreads) + " -> " +
                   solve_status_name(b.status) + " " +
                   std::to_string(b.encoding.bits) + " bits");
     if (stats_fingerprint(a.stats) != stats_fingerprint(b.stats))
@@ -169,7 +177,7 @@ FuzzCaseResult run_differential_case(const ConstraintSet& cs,
               "counter fingerprints differ between thread counts: threads=1 "
               "-> " +
                   std::to_string(ma.fingerprint_hash()) + ", threads=" +
-                  std::to_string(opts.alt_threads) + " -> " +
+                  std::to_string(kAltThreads) + " -> " +
                   std::to_string(mb.fingerprint_hash()));
     // Fifteenth rule: bucket counts of the fingerprint histograms
     // (solve.work, solve.stage_work) must match across thread counts —
@@ -181,7 +189,7 @@ FuzzCaseResult run_differential_case(const ConstraintSet& cs,
               "histogram bucket fingerprints differ between thread counts: "
               "threads=1 -> " +
                   ma.histogram_fingerprint() + ", threads=" +
-                  std::to_string(opts.alt_threads) + " -> " +
+                  std::to_string(kAltThreads) + " -> " +
                   mb.histogram_fingerprint());
   }
   if (opts.metrics) opts.metrics->merge_from(ma);
@@ -230,7 +238,7 @@ FuzzCaseResult run_differential_case(const ConstraintSet& cs,
     sw.cache.store = &warm;
     const SolveResult c1 = solver.encode(sw);
     const SolveResult c2 = permuted_solver.encode(sw);
-    SolveOptions sf = solve_options(opts, opts.alt_threads);
+    SolveOptions sf = solve_options(opts, kAltThreads);
     sf.cache.store = &fresh;
     const SolveResult c3 = permuted_solver.encode(sf);
 
@@ -272,18 +280,17 @@ FuzzCaseResult run_differential_case(const ConstraintSet& cs,
   // certificate, and node/work budgets trip at thread-count-independent
   // points, so the threads=1 and threads=N runs must be bit-identical
   // whenever no wall-clock limit (deadline/cancellation) was involved.
-  if (opts.check_binate_truncation) {
+  {
     auto tiny_solve = [&](int threads) {
       SolveRequest tr;
       tr.constraints = cs;
       tr.options = solve_options(opts, threads);
       tr.options.pipeline = SolveOptions::Pipeline::kExtensions;
-      tr.options.extensions.cover_options.max_nodes =
-          opts.binate_truncation_nodes;
+      tr.options.extensions.cover_options.max_nodes = kBinateTruncationNodes;
       return solve(tr).result;
     };
     const SolveResult t1 = tiny_solve(1);
-    const SolveResult tn = tiny_solve(opts.alt_threads);
+    const SolveResult tn = tiny_solve(kAltThreads);
     for (const SolveResult* r : {&t1, &tn})
       if (r->status == SolveResult::Status::kInfeasible && r->truncated)
         diverge(FuzzRule::kBinateTruncation,
@@ -304,7 +311,7 @@ FuzzCaseResult run_differential_case(const ConstraintSet& cs,
                   solve_status_name(t1.status) + "/" +
                   truncation_name(t1.truncation) + " " +
                   std::to_string(t1.encoding.bits) + " bits, threads=" +
-                  std::to_string(opts.alt_threads) + " -> " +
+                  std::to_string(kAltThreads) + " -> " +
                   solve_status_name(tn.status) + "/" +
                   truncation_name(tn.truncation) + " " +
                   std::to_string(tn.encoding.bits) + " bits");
@@ -314,12 +321,9 @@ FuzzCaseResult run_differential_case(const ConstraintSet& cs,
   const bool exact_infeasible =
       !a.truncated && a.status == SolveResult::Status::kInfeasible;
 
-  if (opts.run_baselines && minlen <= 12) {
-    NovaOptions nopts;
-    nopts.seed = opts.nova_seed;
-    const Encoding nova = nova_encode(cs, minlen, nopts);
+  if (minlen <= 12) {
+    const Encoding nova = nova_encode(cs, minlen);
     AnnealOptions aopts;
-    aopts.seed = opts.anneal_seed;
     aopts.cost = CostKind::kViolatedFaces;
     aopts.temperature_points = 12;
     aopts.moves_per_temperature = 5;
@@ -350,12 +354,10 @@ FuzzCaseResult run_differential_case(const ConstraintSet& cs,
   // A violation-free encoding below the proved-minimal length refutes the
   // minimality proof (exact pipeline only; the extension pipeline's
   // `minimal` is relative to its candidate column set).
-  if (opts.check_minimality && !a.truncated && out.encoded && a.minimal &&
-      !has_extensions && a.encoding.bits > minlen && a.encoding.bits <= 12) {
-    NovaOptions nopts;
-    nopts.seed = opts.nova_seed;
+  if (!a.truncated && out.encoded && a.minimal && !has_extensions &&
+      a.encoding.bits > minlen && a.encoding.bits <= 12) {
     for (int bits = minlen; bits < a.encoding.bits; ++bits) {
-      const Encoding alt = nova_encode(cs, bits, nopts);
+      const Encoding alt = nova_encode(cs, bits);
       if (verify_encoding(alt, cs).empty()) {
         diverge(FuzzRule::kMinimality,
                 "exact proved minimality at " +
@@ -367,7 +369,7 @@ FuzzCaseResult run_differential_case(const ConstraintSet& cs,
     }
   }
 
-  if (opts.run_bounded && minlen <= 12) {
+  if (minlen <= 12) {
     BoundedEncodeOptions bo;
     bo.cost = CostKind::kViolatedFaces;
     bo.polish_passes = 1;

@@ -55,7 +55,7 @@
 //                     tripping
 //
 // Every rule is deterministic: solver budgets are work-based (never
-// wall-clock), baseline seeds are fixed by DifferentialOptions, and the
+// wall-clock), the baseline encoders use fixed seeds, and the
 // thread fan-out paths are bit-deterministic by the library's determinism
 // contract — so a divergence verdict replays exactly from a reproducer
 // file, and same-seed fuzz runs are identical for any driver thread count.
@@ -111,36 +111,17 @@ struct FuzzCaseResult {
 };
 
 struct DifferentialOptions {
-  /// Thread count of the second solver run compared against threads=1.
-  int alt_threads = 4;
   /// Deterministic per-case work budget (bitset word operations) for each
   /// solver run; cases that trip it are counted as truncated, not failed.
   std::uint64_t max_work_per_case = 4'000'000;
   /// Node budgets for the covering searches (same motivation).
   std::uint64_t max_cover_nodes = 4'000;
-  /// Fixed seeds for the baseline encoders, so a reproducer file alone
-  /// replays the divergence.
-  std::uint64_t nova_seed = 7;
-  std::uint64_t anneal_seed = 99;
-  /// Disable the more expensive comparisons (the smoke configurations keep
-  /// them all on).
-  bool run_baselines = true;
-  bool run_bounded = true;
-  bool check_minimality = true;
   /// Run the `cache` agreement rule (three extra solves per case, each
   /// against a private per-case SolveCache — fuzz cases never share cache
   /// state, so same-seed runs stay bit-identical for any driver fan-out).
   bool check_cache = true;
   /// Byte budget for each per-case cache (the fuzz `--cache-size` flag).
   std::size_t cache_max_bytes = 64u << 20;
-
-  /// Run the `binate_truncation` agreement rule (two extra solves per case
-  /// through the forced extension pipeline with `binate_truncation_nodes`
-  /// as the per-component cover node budget).
-  bool check_binate_truncation = true;
-  /// Deliberately tiny so non-trivial cases truncate inside the binate
-  /// cover search rather than finishing.
-  std::uint64_t binate_truncation_nodes = 2;
 
   /// Optional aggregate counter registry (obs/counters.h): each case's
   /// threads=1 run merges its counters in, so a fuzz run reports pipeline

@@ -149,8 +149,10 @@ std::uint64_t fuzz_case_seed(std::uint64_t run_seed, std::uint64_t index) {
 
 ConstraintSet generate_case(std::uint64_t case_seed,
                             const GeneratorOptions& opts) {
+  // Smallest case: three symbols, enough for every constraint class.
+  constexpr std::uint32_t kMinSymbols = 3;
   Rng rng(case_seed);
-  const std::uint32_t lo = std::max<std::uint32_t>(2, opts.min_symbols);
+  const std::uint32_t lo = kMinSymbols;
   const std::uint32_t hi = std::max(lo, opts.max_symbols);
   const std::uint32_t n =
       lo + static_cast<std::uint32_t>(rng.next_below(hi - lo + 1));

@@ -4,8 +4,8 @@
 // Cases are generated from a per-case seed derived with a splitmix64 step
 // from (run seed, case index), so the case stream is bit-identical for a
 // given run seed regardless of how the driver schedules cases across
-// threads. The generator is parameterized over symbol count, the mix of
-// constraint classes, encoding don't-care density, and a rate of
+// threads. The generator is parameterized over the largest symbol count,
+// the mix of constraint classes, encoding don't-care density, and a rate of
 // deliberately infeasible mutations (mutual dominance, dominance cycles,
 // disjunctive/dominance clashes that force equal codes, and the paper's
 // Figure 4 pattern — the counterexample on which the Devadas–Newton local
@@ -21,7 +21,7 @@
 namespace encodesat {
 
 struct GeneratorOptions {
-  std::uint32_t min_symbols = 3;
+  /// Symbol counts are drawn uniformly from [3, max_symbols].
   std::uint32_t max_symbols = 10;
 
   /// Relative class weights for each generated constraint; a weight of 0

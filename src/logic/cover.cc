@@ -35,10 +35,6 @@ void Cover::make_scc_minimal() {
   cubes_ = std::move(kept);
 }
 
-void Cover::sort_canonical() {
-  std::sort(cubes_.begin(), cubes_.end());
-}
-
 bool Cover::has_full_cube() const {
   const std::size_t all = static_cast<std::size_t>(dom_.total_parts());
   for (const Cube& c : cubes_)
@@ -59,12 +55,6 @@ std::string Cover::to_string() const {
     s += '\n';
   }
   return s;
-}
-
-Cover cover_of(const Domain& dom, const Cube& c) {
-  Cover out(dom);
-  out.add(c);
-  return out;
 }
 
 Cover universe_cover(const Domain& dom) {

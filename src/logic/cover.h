@@ -39,10 +39,6 @@ class Cover {
   /// function this yields the unique minimal SOP (Brayton et al., ch. 3).
   void make_scc_minimal();
 
-  /// Sorts cubes canonically (by bit pattern) — for deterministic output
-  /// and equality testing of normalized covers.
-  void sort_canonical();
-
   bool has_full_cube() const;
 
   /// Total input literals over all cubes (Fig. 9 cost semantics).
@@ -55,9 +51,6 @@ class Cover {
   Domain dom_;
   std::vector<Cube> cubes_;
 };
-
-/// Cover of one cube, or the empty cover if the cube is empty.
-Cover cover_of(const Domain& dom, const Cube& c);
 
 /// The universe cover (single full cube).
 Cover universe_cover(const Domain& dom);

@@ -11,6 +11,10 @@ namespace {
 
 using Cost = std::pair<std::size_t, int>;  // (#cubes, #input literals)
 
+/// Maximum REDUCE/EXPAND/IRREDUNDANT round-trips after the first pass; the
+/// loop also stops at the first round that does not lower the cost.
+constexpr int kMaxIterations = 8;
+
 Cost cover_cost(const Cover& f) { return {f.size(), f.input_literals()}; }
 
 }  // namespace
@@ -131,7 +135,7 @@ Cover espresso(const Cover& on, const Cover& dc, const EspressoOptions& opts,
   if (!opts.single_pass) {
     Cost best = cover_cost(f);
     Cover best_cover = f;
-    for (int it = 0; it < opts.max_iterations; ++it) {
+    for (int it = 0; it < kMaxIterations; ++it) {
       if (stats) stats->iterations = it + 1;
       reduce_cover(f, dc);
       expand_against_offset(f, off);
@@ -148,10 +152,6 @@ Cover espresso(const Cover& on, const Cover& dc, const EspressoOptions& opts,
   }
   if (stats) stats->final_cubes = f.size();
   return f;
-}
-
-Cover espresso_nodc(const Cover& on) {
-  return espresso(on, Cover(on.domain()));
 }
 
 }  // namespace encodesat

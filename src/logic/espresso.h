@@ -13,8 +13,6 @@
 namespace encodesat {
 
 struct EspressoOptions {
-  /// Maximum EXPAND/IRREDUNDANT/REDUCE round-trips after the first pass.
-  int max_iterations = 8;
   /// Skip the REDUCE refinement loop: single EXPAND + IRREDUNDANT pass
   /// (faster, slightly larger covers) — used by inner-loop cost evaluation.
   bool single_pass = false;
@@ -31,9 +29,6 @@ struct EspressoStats {
 /// irredundant and prime with respect to the OFF-set.
 Cover espresso(const Cover& on, const Cover& dc,
                const EspressoOptions& opts = {}, EspressoStats* stats = nullptr);
-
-/// Convenience wrapper with an empty don't-care set.
-Cover espresso_nodc(const Cover& on);
 
 /// EXPAND: makes each cube prime against the given OFF-set, removing cubes
 /// that become covered by an expanded one. Exposed for tests/ablations.

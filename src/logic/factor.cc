@@ -71,9 +71,7 @@ std::vector<LiteralCube> to_literal_cubes(const Cover& f, int output) {
   const Domain& dom = f.domain();
   std::vector<LiteralCube> cubes;
   for (const Cube& c : f) {
-    if (output >= 0 &&
-        !c.bits.test(static_cast<std::size_t>(dom.out_pos(output))))
-      continue;
+    if (!c.bits.test(static_cast<std::size_t>(dom.out_pos(output)))) continue;
     LiteralCube lc;
     for (int v = 0; v < dom.num_inputs(); ++v) {
       const std::uint64_t m = part_mask(dom, c, v);
@@ -85,10 +83,6 @@ std::vector<LiteralCube> to_literal_cubes(const Cover& f, int output) {
 }
 
 }  // namespace
-
-int factored_literal_estimate_single(const Cover& f) {
-  return factor_rec(to_literal_cubes(f, -1));
-}
 
 int factored_literal_estimate(const Cover& f) {
   int total = 0;

@@ -17,8 +17,4 @@ namespace encodesat {
 /// <= the SOP literal count (equal when no factoring is possible).
 int factored_literal_estimate(const Cover& f);
 
-/// Single function (ignores the output part): factoring estimate of the
-/// cover's input literals.
-int factored_literal_estimate_single(const Cover& f);
-
 }  // namespace encodesat

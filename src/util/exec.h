@@ -96,10 +96,6 @@ class Budget {
                                    std::chrono::duration<double>(seconds));
     has_deadline_ = true;
   }
-  void set_deadline(Clock::time_point t) {
-    deadline_ = t;
-    has_deadline_ = true;
-  }
   /// 0 means unlimited.
   void set_work_limit(std::uint64_t units) { work_limit_ = units; }
   /// The token is borrowed and may be shared by many budgets.

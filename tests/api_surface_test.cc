@@ -42,7 +42,7 @@ TEST(EspressoApi, NodcWrapper) {
   Cover on(dom);
   on.add(cube_from_string(dom, "00", "1"));
   on.add(cube_from_string(dom, "01", "1"));
-  EXPECT_EQ(espresso_nodc(on).size(), 1u);
+  EXPECT_EQ(espresso(on, Cover(dom)).size(), 1u);
 }
 
 TEST(CoverApi, ToStringListsCubes) {

@@ -261,7 +261,9 @@ TEST(Domain, EmptyPartMakesEveryCubeEmpty) {
     EXPECT_TRUE(cube_part_empty(dom, full, empty_part));
     EXPECT_TRUE(cube_part_full(dom, full, empty_part));
     EXPECT_TRUE(cube_complement(dom, full).empty());
-    EXPECT_TRUE(cover_of(dom, full).empty());
+    Cover cover(dom);
+    cover.add(full);
+    EXPECT_TRUE(cover.empty());
   }
   EXPECT_EQ(Domain(), Domain({}, 0));
 }

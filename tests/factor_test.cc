@@ -15,7 +15,7 @@ TEST(Factor, SingleCubeIsItsLiterals) {
   const Domain dom = Domain::binary(4, 1);
   Cover f(dom);
   f.add(bcube(dom, "10-1", "1"));
-  EXPECT_EQ(factored_literal_estimate_single(f), 3);
+  EXPECT_EQ(factored_literal_estimate(f), 3);
 }
 
 TEST(Factor, CommonLiteralIsShared) {
@@ -25,7 +25,7 @@ TEST(Factor, CommonLiteralIsShared) {
   f.add(bcube(dom, "11-", "1"));
   f.add(bcube(dom, "1-1", "1"));
   EXPECT_EQ(f.input_literals(), 4);
-  EXPECT_EQ(factored_literal_estimate_single(f), 3);
+  EXPECT_EQ(factored_literal_estimate(f), 3);
 }
 
 TEST(Factor, DeeperSharing) {
@@ -36,7 +36,7 @@ TEST(Factor, DeeperSharing) {
   f.add(bcube(dom, "11-1-", "1"));
   f.add(bcube(dom, "1---1", "1"));
   EXPECT_EQ(f.input_literals(), 8);
-  EXPECT_EQ(factored_literal_estimate_single(f), 5);
+  EXPECT_EQ(factored_literal_estimate(f), 5);
 }
 
 TEST(Factor, NoSharingEqualsSop) {
@@ -45,7 +45,7 @@ TEST(Factor, NoSharingEqualsSop) {
   Cover f(dom);
   f.add(bcube(dom, "11--", "1"));
   f.add(bcube(dom, "--11", "1"));
-  EXPECT_EQ(factored_literal_estimate_single(f), 4);
+  EXPECT_EQ(factored_literal_estimate(f), 4);
 }
 
 TEST(Factor, MultiOutputSumsPerOutput) {
@@ -71,7 +71,7 @@ TEST_P(FactorBound, NeverExceedsSopLiterals) {
     for (int v = 0; v < dom.num_inputs(); ++v) in += "01--"[rng.next_below(4)];
     f.add(cube_from_string(dom, in, "1"));
   }
-  const int factored = factored_literal_estimate_single(f);
+  const int factored = factored_literal_estimate(f);
   EXPECT_LE(factored, f.input_literals());
   EXPECT_GE(factored, 0);
 }

@@ -1,10 +1,10 @@
-// Additional property sweeps: chain-constraint search and URP laws.
+// Additional property sweeps: chain-constraint search, URP laws and the
+// cover algebra built on URP complement and containment.
 #include <gtest/gtest.h>
 
 #include "core/bounded.h"
 #include "core/chains.h"
 #include "core/verify.h"
-#include "logic/cover_ops.h"
 #include "logic/urp.h"
 #include "util/rng.h"
 
@@ -40,6 +40,32 @@ TEST_P(ChainSweep, SolutionsVerifyAndChainsHold) {
 INSTANTIATE_TEST_SUITE_P(Seeds, ChainSweep, ::testing::Range(0, 20));
 
 class UrpLaws : public ::testing::TestWithParam<int> {};
+
+// Cover-level oracles on the URP primitives, local to these tests.
+
+// Same function: each cover contains the other.
+bool covers_equal(const Cover& a, const Cover& b) {
+  return cover_contains(a, b) && cover_contains(b, a);
+}
+
+// Cofactor with respect to input variable `var` = `value`.
+Cover cover_cofactor_var(const Cover& f, int var, int value) {
+  const Domain& dom = f.domain();
+  Cube lit = full_cube(dom);
+  for (int j = 0; j < dom.input_size(var); ++j)
+    if (j != value) lit.bits.reset(static_cast<std::size_t>(dom.pos(var, j)));
+  return cover_cofactor(f, lit);
+}
+
+// Pairwise cube intersection: the AND of the two functions.
+Cover cover_intersect(const Cover& a, const Cover& b) {
+  Cover out(a.domain());
+  for (const Cube& x : a)
+    for (const Cube& y : b)
+      if (auto meet = cube_intersect(a.domain(), x, y))
+        out.add(std::move(*meet));
+  return out;
+}
 
 Cover random_cover(Rng& rng, const Domain& dom, int cubes) {
   Cover f(dom);
@@ -86,6 +112,53 @@ TEST_P(UrpLaws, ShannonExpansionLaws) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, UrpLaws, ::testing::Range(0, 20));
+
+TEST(CoverOps, CofactorVar) {
+  const Domain dom = Domain::binary(2, 1);
+  Cover f(dom);
+  f.add(cube_from_string(dom, "10", "1"));
+  f.add(cube_from_string(dom, "0-", "1"));
+  // Cofactor on x0 = 1 keeps {10} (as -0) and drops {0-}.
+  const Cover cf = cover_cofactor_var(f, 0, 1);
+  ASSERT_EQ(cf.size(), 1u);
+  EXPECT_EQ(cube_to_string(dom, cf[0]), "-0 | 1");
+}
+
+TEST(CoverOps, SubsetAndEquality) {
+  const Domain dom = Domain::binary(2, 1);
+  Cover a(dom), b(dom);
+  a.add(cube_from_string(dom, "11", "1"));
+  b.add(cube_from_string(dom, "1-", "1"));
+  EXPECT_TRUE(cover_contains(b, a));
+  EXPECT_FALSE(cover_contains(a, b));
+  EXPECT_FALSE(covers_equal(a, b));
+  EXPECT_TRUE(covers_equal(b, b));
+}
+
+class CoverOpsAlgebra : public ::testing::TestWithParam<int> {};
+
+TEST_P(CoverOpsAlgebra, DeMorganAndPartition) {
+  Rng rng(static_cast<std::uint64_t>(GetParam()) * 37 + 5);
+  const Domain dom = Domain::binary(3 + static_cast<int>(rng.next_below(2)),
+                                    1 + static_cast<int>(rng.next_below(2)));
+  const Cover a = random_cover(rng, dom, 4);
+  const Cover b = random_cover(rng, dom, 4);
+
+  // a = (a ∩ b) ∪ (a ∩ b'), and the second part misses b.
+  Cover parts = cover_intersect(a, b);
+  const Cover diff = cover_intersect(a, complement(b));
+  parts.add_all(diff);
+  EXPECT_TRUE(covers_equal(parts, a));
+  for (const Cube& x : diff) EXPECT_FALSE(cover_contains_cube(b, x));
+
+  // complement(a ∪ b) == complement(a) ∩ complement(b).
+  Cover both = a;
+  both.add_all(b);
+  EXPECT_TRUE(covers_equal(complement(both),
+                           cover_intersect(complement(a), complement(b))));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CoverOpsAlgebra, ::testing::Range(0, 15));
 
 }  // namespace
 }  // namespace encodesat
