@@ -31,10 +31,10 @@ Fsm parse_kiss2(std::istream& in) {
     if (line[0] == '.') {
       auto tok = split_ws(line);
       const std::string& dir = tok[0];
-      if (dir == ".i" && tok.size() >= 2) fsm.num_inputs = std::stoi(tok[1]);
-      else if (dir == ".o" && tok.size() >= 2) fsm.num_outputs = std::stoi(tok[1]);
-      else if (dir == ".p" && tok.size() >= 2) declared_p = std::stoi(tok[1]);
-      else if (dir == ".s" && tok.size() >= 2) { /* state count: checked below */ }
+      if (dir == ".i" && tok.size() >= 2) fsm.num_inputs = parse_count(dir, tok[1]);
+      else if (dir == ".o" && tok.size() >= 2) fsm.num_outputs = parse_count(dir, tok[1]);
+      else if (dir == ".p" && tok.size() >= 2) declared_p = parse_count(dir, tok[1]);
+      else if (dir == ".s" && tok.size() >= 2) { /* state count: informative only */ }
       else if (dir == ".r" && tok.size() >= 2) reset_name = tok[1];
       else if (dir == ".e" || dir == ".end") break;
       else throw std::runtime_error("unsupported KISS2 directive: " + dir);

@@ -40,8 +40,8 @@ Pla read_pla(std::istream& in) {
     if (line[0] == '.') {
       auto tok = split_ws(line);
       const std::string& dir = tok[0];
-      if (dir == ".i" && tok.size() >= 2) ni = std::stoi(tok[1]);
-      else if (dir == ".o" && tok.size() >= 2) no = std::stoi(tok[1]);
+      if (dir == ".i" && tok.size() >= 2) ni = parse_count(dir, tok[1]);
+      else if (dir == ".o" && tok.size() >= 2) no = parse_count(dir, tok[1]);
       else if (dir == ".type" && tok.size() >= 2) type = tok[1];
       else if (dir == ".ilb") ilb.assign(tok.begin() + 1, tok.end());
       else if (dir == ".ob") ob.assign(tok.begin() + 1, tok.end());

@@ -57,6 +57,18 @@ TEST(Kiss2, Errors) {
                std::runtime_error);
   EXPECT_THROW(parse_kiss2_string(".i 1\n.o 1\n.p 3\n0 a b 1\n.e\n"),
                std::runtime_error);
+  // Header counts are non-negative integers, whole tokens, in int range.
+  for (const char* bad :
+       {".i abc\n.o 1\n", ".i 99999999999\n.o 1\n", ".i -3\n.o 1\n",
+        ".i 1\n.o 2x\n", ".i 1\n.o 1\n.p -1\n"})
+    EXPECT_THROW(parse_kiss2_string(bad), std::runtime_error) << bad;
+  try {
+    parse_kiss2_string(".i abc\n");
+    ADD_FAILURE() << "no exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(".i"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("'abc'"), std::string::npos);
+  }
 }
 
 TEST(SymbolicCover, OneCubePerTransition) {

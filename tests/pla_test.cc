@@ -77,6 +77,11 @@ TEST(Pla, Errors) {
   EXPECT_THROW(read_pla_string(".i 2\n.o 1\n.magic\n01 1\n"),
                std::runtime_error);
   EXPECT_THROW(read_pla_string(".i 2\n.o 1\n01 x\n"), std::runtime_error);
+  // Header counts are whole integer tokens in int range.
+  EXPECT_THROW(read_pla_string(".i abc\n.o 1\n01 1\n"), std::runtime_error);
+  EXPECT_THROW(read_pla_string(".i 99999999999\n.o 1\n01 1\n"),
+               std::runtime_error);
+  EXPECT_THROW(read_pla_string(".i 2\n.o 1x\n01 1\n"), std::runtime_error);
 }
 
 TEST(Pla, WhitespaceTolerant) {
