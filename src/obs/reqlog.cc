@@ -1,39 +1,16 @@
 #include "obs/reqlog.h"
 
-#include <cstdio>
 #include <iostream>
 #include <sstream>
+
+#include "util/strings.h"
 
 namespace encodesat {
 
 namespace {
 
-// Minimal JSON string escaping, local to keep src/obs independent of the
-// service-layer parser (same idiom as trace.cc).
-void escape_json(const std::string& s, std::ostream& out) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\n': out << "\\n"; break;
-      case '\r': out << "\\r"; break;
-      case '\t': out << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out << buf;
-        } else {
-          out << c;
-        }
-    }
-  }
-}
-
 void string_field(std::ostream& out, const char* key, const std::string& v) {
-  out << '"' << key << "\":\"";
-  escape_json(v, out);
-  out << '"';
+  out << '"' << key << "\":\"" << json_escape(v) << '"';
 }
 
 }  // namespace
@@ -76,9 +53,7 @@ bool RequestLog::log(const ReqLogRecord& rec) {
   for (const auto& [name, value] : rec.counters) {
     if (!first) line << ',';
     first = false;
-    line << '"';
-    escape_json(name, line);
-    line << "\":" << value;
+    line << '"' << json_escape(name) << "\":" << value;
   }
   line << '}';
   if (slow && rec.stats) line << ",\"spans\":" << rec.stats->to_json();

@@ -3,6 +3,8 @@
 #include <atomic>
 #include <ostream>
 
+#include "util/strings.h"
+
 namespace encodesat {
 
 namespace {
@@ -70,18 +72,6 @@ void Tracer::end_span(const char* name) {
   log->events.push_back({name, now_us(), 'E'});
 }
 
-namespace {
-
-void escape_json(const char* s, std::ostream& out) {
-  for (; *s; ++s) {
-    const char c = *s;
-    if (c == '"' || c == '\\') out << '\\';
-    out << c;
-  }
-}
-
-}  // namespace
-
 void Tracer::write_chrome_trace(std::ostream& out) const {
   std::lock_guard<std::mutex> lock(mu_);
   out << "{\"traceEvents\":[";
@@ -90,9 +80,8 @@ void Tracer::write_chrome_trace(std::ostream& out) const {
     for (const Event& e : log.events) {
       if (!first) out << ',';
       first = false;
-      out << "{\"name\":\"";
-      escape_json(e.name, out);
-      out << "\",\"ph\":\"" << e.phase << "\",\"ts\":" << e.ts_us
+      out << "{\"name\":\"" << json_escape(e.name) << "\",\"ph\":\""
+          << e.phase << "\",\"ts\":" << e.ts_us
           << ",\"pid\":1,\"tid\":" << log.tid << '}';
     }
   }

@@ -16,6 +16,8 @@
 #include <string>
 #include <vector>
 
+#include "util/strings.h"  // json_escape, the matching writer
+
 namespace encodesat {
 
 struct JsonValue {
@@ -43,9 +45,5 @@ struct JsonValue {
 /// with a byte-offset diagnostic on malformed input.
 bool json_parse(const std::string& text, JsonValue* out,
                 std::string* error = nullptr);
-
-/// Escapes `s` for embedding inside a JSON string literal (quotes not
-/// included). Control characters become \u00XX.
-std::string json_escape(const std::string& s);
 
 }  // namespace encodesat

@@ -3,6 +3,8 @@
 #include <cstring>
 #include <sstream>
 
+#include "util/strings.h"
+
 namespace encodesat {
 
 const char* truncation_name(Truncation t) {
@@ -42,29 +44,9 @@ const StageStats* StageStats::find(const std::string& stage_name) const {
 
 namespace {
 
-void escape_json(const std::string& s, std::ostream& out) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\n': out << "\\n"; break;
-      case '\t': out << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out << buf;
-        } else {
-          out << c;
-        }
-    }
-  }
-}
-
 void emit_json(const StageStats& s, std::ostream& out) {
-  out << "{\"name\":\"";
-  escape_json(s.name, out);
-  out << "\",\"elapsed_s\":" << s.elapsed_seconds << ",\"work\":" << s.work
+  out << "{\"name\":\"" << json_escape(s.name)
+      << "\",\"elapsed_s\":" << s.elapsed_seconds << ",\"work\":" << s.work
       << ",\"items\":" << s.items << ",\"truncation\":\""
       << truncation_name(s.truncation) << "\",\"children\":[";
   for (std::size_t i = 0; i < s.children.size(); ++i) {

@@ -24,6 +24,7 @@
 #include "obs/reqlog.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
+#include "service/json.h"
 
 namespace encodesat {
 namespace {
@@ -314,6 +315,34 @@ TEST(RequestLog, SlowRequestBypassesSamplingAndAttachesSpans) {
   EXPECT_NE(text.find("prime_generation"), std::string::npos);
   EXPECT_NE(text.find("\"counters\":{\"bits\":2}"), std::string::npos);
   EXPECT_EQ(text.find("\"id\":\"fast\""), std::string::npos);
+}
+
+// Every control byte in a request id survives the log line: json_escape
+// writes each one so that json_parse reads back the same bytes.
+TEST(RequestLog, ControlBytesInIdRoundTripThroughJson) {
+  const std::string path = testing::TempDir() + "/reqlog_escape.ndjson";
+  std::remove(path.c_str());
+  ReqLogConfig cfg;
+  cfg.path = path;
+  RequestLog log(cfg);
+  ASSERT_TRUE(log.ok()) << log.open_error();
+  std::string id;
+  for (char c = 0x01; c <= 0x1f; ++c) id += c;
+  id += "\"\\end";
+  ASSERT_TRUE(log.log(ok_record(id, 10)));
+
+  std::string line = read_file(path);
+  ASSERT_FALSE(line.empty());
+  ASSERT_EQ(line.back(), '\n');
+  line.pop_back();
+  EXPECT_EQ(line.find('\n'), std::string::npos);
+  JsonValue v;
+  std::string error;
+  ASSERT_TRUE(json_parse(line, &v, &error)) << error;
+  const JsonValue* parsed = v.find("id");
+  ASSERT_NE(parsed, nullptr);
+  ASSERT_TRUE(parsed->is_string());
+  EXPECT_EQ(parsed->str, id);
 }
 
 TEST(RequestLog, UnopenableFileReportsError) {
