@@ -201,8 +201,8 @@ void Broker::run_item(Item item) {
     }
     if (cfg_.window) cfg_.window->record(now_us(), queue_us);
     log_request(resp, "expired", queue_us, 0, queue_us, nullptr);
-    item.cb(std::move(resp));
     in_flight_.fetch_sub(1, std::memory_order_relaxed);
+    item.cb(std::move(resp));
     return;
   }
   // Queue wait counts against the request: solve with what remains.
@@ -238,8 +238,10 @@ void Broker::run_item(Item item) {
   if (cfg_.window) cfg_.window->record(now_us(), total_us);
   log_request(resp, disposition_of(resp), queue_us, solve_us, total_us,
               &resp.result.stats);
-  item.cb(std::move(resp));
+  // Leave the gauge before delivering, as with the histograms above: a
+  // client that has read its response never sees the request in flight.
   in_flight_.fetch_sub(1, std::memory_order_relaxed);
+  item.cb(std::move(resp));
 }
 
 void Broker::drain(DrainMode mode) {
