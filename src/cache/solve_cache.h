@@ -10,8 +10,8 @@
 // is also what lets it compile into encodesat_core underneath core/solver
 // without a dependency cycle.
 //
-// Soundness: lookups compare the full key string, not its hash, so a
-// 128-bit hash collision can cost a miss but never return a wrong result.
+// Soundness: lookups compare the full key string; the key's hash only picks
+// its shard, so a hash collision can never return a wrong result.
 //
 // Concurrency: keys are distributed over shards by hash; each shard has its
 // own mutex, LRU list and byte budget (total budget / shards), so parallel
