@@ -16,6 +16,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/bounded.h"
@@ -108,6 +109,19 @@ std::string golden_logic_text() {
   add_random_covers(out, "binary(63,2)", Domain::binary(63, 2), 128);
   add_random_covers(out, "binary(64,1)", Domain::binary(64, 1), 129);
   add_random_covers(out, "mv(3,40,30,5;4)", Domain({3, 40, 30, 5}, 4), 82);
+
+  // One output over 1-6 binary inputs, the shape of P-3's face costs, each
+  // with its two DC cubes; six inputs fill a 64-minterm space. From three
+  // inputs up, each seed is one whose minimized cover keeps more than one
+  // cube (with one or two inputs, nine cubes and two DC cubes of this
+  // generator leave at most one at any seed).
+  const std::pair<int, std::uint64_t> one_output[] = {
+      {1, 220}, {2, 201}, {3, 223}, {4, 221}, {5, 225}};
+  for (const auto& [n, seed] : one_output)
+    add_random_covers(out, "binary(" + std::to_string(n) + ",1)",
+                      Domain::binary(n, 1), seed);
+  add_random_covers(out, "binary(6,1), second seed", Domain::binary(6, 1),
+                    225);
 
   // The P-3 flow of Table 2 on three of its machines.
   for (const char* name : {"dk512", "bbsse", "cse"}) {
