@@ -276,7 +276,7 @@ CaseResult run_case(const std::string& name, const BinateCoverProblem& p,
   BinateCoverOptions opts;  // default per-component node budget
   for (int r = 0; r < reps; ++r) {
     Timer t;
-    const BinateCoverSolution sol = solve_binate_cover(p, opts);
+    const CoverSolution sol = solve_binate_cover(p, opts);
     const double secs = t.elapsed_seconds();
     if (secs < out.wall_seconds) out.wall_seconds = secs;
     out.truncated = sol.truncated;

@@ -6,20 +6,12 @@
 #include <fstream>
 #include <sstream>
 #include <utility>
+#include <vector>
 
 namespace encodesat {
 namespace {
 
 constexpr char kFormatHeader[] = "encodesat-cache-v1";
-
-std::uint64_t key_hash64(const std::string& key) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (unsigned char c : key) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 template <typename T>
 void append_list_line(std::string& out, const char* field,
@@ -42,14 +34,7 @@ bool parse_list(std::istringstream& in, std::vector<T>* out) {
 
 }  // namespace
 
-SolveCache::SolveCache(CacheConfig config) : config_(config) {
-  if (config_.shards == 0) config_.shards = 1;
-  shards_ = std::vector<Shard>(config_.shards);
-}
-
-SolveCache::Shard& SolveCache::shard_for(const std::string& key) {
-  return shards_[key_hash64(key) % shards_.size()];
-}
+SolveCache::SolveCache(CacheConfig config) : config_(config) {}
 
 std::size_t SolveCache::approx_bytes(const SolveOutcome& value) {
   return sizeof(SolveOutcome) +
@@ -58,71 +43,59 @@ std::size_t SolveCache::approx_bytes(const SolveOutcome& value) {
 }
 
 bool SolveCache::lookup(const std::string& key, SolveOutcome* out) {
-  Shard& s = shard_for(key);
-  std::lock_guard<std::mutex> lock(s.mu);
-  auto it = s.index.find(key);
-  if (it == s.index.end()) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = index_.find(key);
+  if (it == index_.end()) {
+    ++misses_;
     return false;
   }
-  s.lru.splice(s.lru.begin(), s.lru, it->second);
+  lru_.splice(lru_.begin(), lru_, it->second);
   if (out) *out = it->second->value;
-  hits_.fetch_add(1, std::memory_order_relaxed);
+  ++hits_;
   return true;
 }
 
 void SolveCache::insert(const std::string& key, SolveOutcome value) {
-  Shard& s = shard_for(key);
-  std::lock_guard<std::mutex> lock(s.mu);
+  std::lock_guard<std::mutex> lock(mu_);
   const std::size_t entry_bytes = key.size() + approx_bytes(value);
-  auto it = s.index.find(key);
-  if (it != s.index.end()) {
-    s.bytes -= it->second->key.size() + approx_bytes(it->second->value);
+  auto it = index_.find(key);
+  if (it != index_.end()) {
+    bytes_ -= it->second->key.size() + approx_bytes(it->second->value);
     it->second->value = std::move(value);
-    s.lru.splice(s.lru.begin(), s.lru, it->second);
+    lru_.splice(lru_.begin(), lru_, it->second);
   } else {
-    s.lru.push_front(Entry{key, std::move(value)});
-    s.index.emplace(key, s.lru.begin());
+    lru_.push_front(Entry{key, std::move(value)});
+    index_.emplace(key, lru_.begin());
   }
-  s.bytes += entry_bytes;
-  inserts_.fetch_add(1, std::memory_order_relaxed);
-  evict_locked(s);
+  bytes_ += entry_bytes;
+  ++inserts_;
+  evict_locked();
 }
 
-void SolveCache::evict_locked(Shard& s) {
-  const std::size_t budget = shard_budget();
-  if (budget == 0) return;  // unlimited
+void SolveCache::evict_locked() {
+  if (config_.max_bytes == 0) return;  // unlimited
   // Never evict the entry just touched: a single oversized entry stays
   // resident (and alone) rather than making its own insert a no-op.
-  while (s.bytes > budget && s.lru.size() > 1) {
-    const Entry& victim = s.lru.back();
-    s.bytes -= victim.key.size() + approx_bytes(victim.value);
-    s.index.erase(victim.key);
-    s.lru.pop_back();
-    evictions_.fetch_add(1, std::memory_order_relaxed);
+  while (bytes_ > config_.max_bytes && lru_.size() > 1) {
+    const Entry& victim = lru_.back();
+    bytes_ -= victim.key.size() + approx_bytes(victim.value);
+    index_.erase(victim.key);
+    lru_.pop_back();
+    ++evictions_;
   }
 }
 
 CacheStats SolveCache::stats() const {
-  CacheStats out;
-  out.hits = hits_.load(std::memory_order_relaxed);
-  out.misses = misses_.load(std::memory_order_relaxed);
-  out.inserts = inserts_.load(std::memory_order_relaxed);
-  out.evictions = evictions_.load(std::memory_order_relaxed);
-  for (const Shard& s : shards_) {
-    std::lock_guard<std::mutex> lock(s.mu);
-    out.entries += s.lru.size();
-    out.bytes += s.bytes;
-  }
-  return out;
+  std::lock_guard<std::mutex> lock(mu_);
+  return CacheStats{hits_, misses_, inserts_, evictions_, lru_.size(), bytes_};
 }
 
 std::string SolveCache::to_text() const {
   // Snapshot entries, then sort by key for a deterministic rendering.
   std::vector<Entry> entries;
-  for (const Shard& s : shards_) {
-    std::lock_guard<std::mutex> lock(s.mu);
-    for (const Entry& e : s.lru) entries.push_back(e);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    entries.assign(lru_.begin(), lru_.end());
   }
   std::sort(entries.begin(), entries.end(),
             [](const Entry& a, const Entry& b) { return a.key < b.key; });

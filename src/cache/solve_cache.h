@@ -1,4 +1,4 @@
-// Sharded in-memory LRU cache for solve results, keyed by canonical form.
+// In-memory LRU cache for solve results, keyed by canonical form.
 //
 // The Solver facade (src/core/solver.h, SolveOptions::cache) canonicalizes
 // the instance, composes the cache key from the canonical key plus an
@@ -10,37 +10,32 @@
 // is also what lets it compile into encodesat_core underneath core/solver
 // without a dependency cycle.
 //
-// Soundness: lookups compare the full key string; the key's hash only picks
-// its shard, so a hash collision can never return a wrong result.
+// Soundness: lookups compare the full key string, so a hash collision can
+// never return a wrong result.
 //
-// Concurrency: keys are distributed over shards by hash; each shard has its
-// own mutex, LRU list and byte budget (total budget / shards), so parallel
-// solves on different instances rarely contend. Hit/miss/insert/evict
-// counts are process-wide atomics.
+// Concurrency: one mutex guards the one LRU list, its index, the byte
+// budget and the hit/miss/insert/evict counts. In the service every lookup
+// already runs under the single-flight table's lock (cache/inflight.h), so
+// finer locking here would never let two lookups run at once.
 //
 // Persistence: save()/load() serialize entries in the `encodesat-cache-v1`
 // text format (docs/FORMATS.md) for warm-starting batch runs
 // (`--cache-save` / `--cache-load` on the CLI).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <list>
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "core/status.h"
 
 namespace encodesat {
 
 struct CacheConfig {
-  /// Number of independent shards (>= 1); keys are distributed by hash.
-  std::size_t shards = 8;
-  /// Total byte budget across all shards; least-recently-used entries are
-  /// evicted per shard once its share (max_bytes / shards) is exceeded.
-  /// 0 means unlimited.
+  /// Byte budget of the one LRU list: least-recently-used entries are
+  /// evicted once it is exceeded. 0 means unlimited.
   std::size_t max_bytes = 64u << 20;
 };
 
@@ -64,18 +59,16 @@ class SolveCache {
   /// used. Counts a hit or a miss.
   bool lookup(const std::string& key, SolveOutcome* out);
 
-  /// Inserts or replaces the entry for `key`, then evicts LRU entries from
-  /// the key's shard until the shard fits its byte share.
+  /// Inserts or replaces the entry for `key`, then evicts LRU entries until
+  /// the cache fits its byte budget.
   void insert(const std::string& key, SolveOutcome value);
 
   /// Approximate heap footprint of one value for the byte budget (an entry
   /// also charges its key's length).
   static std::size_t approx_bytes(const SolveOutcome& value);
 
-  /// Point-in-time aggregate across shards.
+  /// Point-in-time counts and footprint.
   CacheStats stats() const;
-
-  const CacheConfig& config() const { return config_; }
 
   /// Serializes every entry in `encodesat-cache-v1` format. Entries are
   /// emitted in key order so the output is deterministic.
@@ -95,26 +88,19 @@ class SolveCache {
     std::string key;
     SolveOutcome value;
   };
-  struct Shard {
-    mutable std::mutex mu;
-    /// Front = most recently used.
-    std::list<Entry> lru;
-    std::unordered_map<std::string, std::list<Entry>::iterator> index;
-    std::size_t bytes = 0;
-  };
 
-  Shard& shard_for(const std::string& key);
-  void evict_locked(Shard& s);
-  std::size_t shard_budget() const {
-    return config_.max_bytes == 0 ? 0 : config_.max_bytes / config_.shards;
-  }
+  void evict_locked();
 
-  CacheConfig config_;
-  std::vector<Shard> shards_;
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> misses_{0};
-  std::atomic<std::uint64_t> inserts_{0};
-  std::atomic<std::uint64_t> evictions_{0};
+  const CacheConfig config_;
+  mutable std::mutex mu_;
+  /// Front = most recently used.
+  std::list<Entry> lru_;
+  std::unordered_map<std::string, std::list<Entry>::iterator> index_;
+  std::size_t bytes_ = 0;
+  std::uint64_t hits_ = 0;
+  std::uint64_t misses_ = 0;
+  std::uint64_t inserts_ = 0;
+  std::uint64_t evictions_ = 0;
 };
 
 }  // namespace encodesat

@@ -115,7 +115,7 @@ SolveOutcome binate_table_encode(const ConstraintSet& cs,
                                  const ExecContext& ctx) {
   SolveOutcome res;
   const BinateTable table = build_binate_table(cs);
-  const BinateCoverSolution sol = solve_binate_cover(table.problem, opts, ctx);
+  const CoverSolution sol = solve_binate_cover(table.problem, opts, ctx);
   res.nodes_explored = sol.nodes_explored;
   res.truncation = sol.truncation;
   if (!sol.feasible) {

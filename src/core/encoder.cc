@@ -186,7 +186,7 @@ SolveOutcome exact_encode(const ConstraintSet& cs,
     metric_add(stage.ctx(), "cover.table_rows", problem.rows.size());
     metric_add(stage.ctx(), "cover.table_columns", problem.num_columns);
   }
-  const UnateCoverSolution cover =
+  const CoverSolution cover =
       solve_unate_cover(problem, opts.cover_options, ctx);
   res.nodes_explored = cover.nodes_explored;
   if (!cover.feasible) {

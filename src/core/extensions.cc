@@ -271,7 +271,7 @@ SolveOutcome encode_with_extensions(const ConstraintSet& cs,
     stage.set_truncation(res.truncation);
     return res;
   }
-  const BinateCoverSolution sol =
+  const CoverSolution sol =
       solve_binate_cover(problem, opts.cover_options, stage.ctx());
   res.nodes_explored = sol.nodes_explored;
   stage.add_items(sol.nodes_explored);

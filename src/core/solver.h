@@ -118,8 +118,6 @@ struct SolveOptions {
     /// (without one, only the concurrent window is closed). Borrowed; must
     /// outlive the call.
     InFlightTable* single_flight = nullptr;
-
-    bool active() const { return enabled || store != nullptr; }
   };
   Cache cache;
 };

@@ -6,6 +6,7 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "covering/check.h"
 #include "obs/counters.h"
 #include "obs/trace.h"
 #include "util/term_arena.h"
@@ -37,17 +38,6 @@ namespace {
 
 int column_weight(const BinateCoverProblem& p, std::size_t c) {
   return p.weights.empty() ? 1 : p.weights[c];
-}
-
-void validate_problem(const BinateCoverProblem& p) {
-  if (!p.weights.empty() && p.weights.size() != p.num_columns)
-    throw std::invalid_argument(
-        "solve_binate_cover: weights has " + std::to_string(p.weights.size()) +
-        " entries for " + std::to_string(p.num_columns) + " columns");
-  for (const BinateRow& r : p.rows)
-    if (r.pos.size() != p.num_columns || r.neg.size() != p.num_columns)
-      throw std::invalid_argument(
-          "solve_binate_cover: row universe does not match num_columns");
 }
 
 // --- root reduction --------------------------------------------------------
@@ -260,21 +250,6 @@ RootReduction reduce_root(const BinateCoverProblem& p) {
 }
 
 // --- per-component branch-and-bound ----------------------------------------
-
-struct ComponentResult {
-  bool feasible = false;
-  bool complete = true;  // search ran to exhaustion (optimality/infeasibility
-                         // proved)
-  Truncation truncation = Truncation::kNone;
-  std::vector<std::size_t> columns;  // component-local indices
-  int cost = 0;                      // valid only when feasible
-  std::uint64_t nodes = 0;
-  std::uint64_t propagations = 0;
-  std::uint64_t prune_hits = 0;
-  std::uint64_t arena_allocs = 0;
-  std::uint64_t arena_reuses = 0;
-  std::size_t peak_arena_bytes = 0;
-};
 
 // Explicit-stack DPLL over one component. All working sets live in two
 // TermArenas: `cols` holds column sets (per-row free-literal tables and the
@@ -514,19 +489,21 @@ struct Search {
   }
 };
 
-ComponentResult solve_component(const BinateCoverProblem& q,
-                                const BinateCoverOptions& options,
-                                const ExecContext& ctx) {
+// One component's search; `columns` are component-local and `truncated`
+// means the search did not run to exhaustion.
+CoverSolution solve_component(const BinateCoverProblem& q,
+                              const BinateCoverOptions& options,
+                              const ExecContext& ctx) {
   TRACE_SCOPE(ctx, "binate_component");
-  ComponentResult out;
+  CoverSolution out;
   Search search(q, options, ctx);
   search.run();
   out.feasible = search.found;
-  out.complete = !search.budget_exhausted;
+  out.truncated = search.budget_exhausted;
   out.truncation = search.truncation;
   out.columns = std::move(search.best_columns);
-  out.cost = search.found ? search.best_cost : 0;
-  out.nodes = search.nodes;
+  if (search.found) out.cost = search.best_cost;
+  out.nodes_explored = search.nodes;
   out.propagations = search.propagations;
   out.prune_hits = search.prune_hits;
   out.arena_allocs =
@@ -547,7 +524,7 @@ std::size_t dsu_find(std::vector<std::size_t>& parent, std::size_t x) {
   return x;
 }
 
-void report_metrics(const ExecContext& ctx, const BinateCoverSolution& sol) {
+void report_metrics(const ExecContext& ctx, const CoverSolution& sol) {
   // Per-component totals are deterministic (private node budgets, summed
   // in component order), so they are fingerprint-safe.
   metric_add(ctx, "cover.binate.nodes", sol.nodes_explored);
@@ -561,12 +538,16 @@ void report_metrics(const ExecContext& ctx, const BinateCoverSolution& sol) {
 
 }  // namespace
 
-BinateCoverSolution solve_binate_cover(const BinateCoverProblem& p,
-                                       const BinateCoverOptions& options,
-                                       const ExecContext& ctx) {
-  validate_problem(p);
+CoverSolution solve_binate_cover(const BinateCoverProblem& p,
+                                 const BinateCoverOptions& options,
+                                 const ExecContext& ctx) {
+  check_cover_problem(
+      "solve_binate_cover", p.num_columns, p.weights,
+      std::all_of(p.rows.begin(), p.rows.end(), [&](const BinateRow& r) {
+        return r.pos.size() == p.num_columns && r.neg.size() == p.num_columns;
+      }));
   StageScope stage(ctx, "binate_cover");
-  BinateCoverSolution sol;
+  CoverSolution sol;
 
   // A budget that is already exhausted (or a pending cancellation) returns
   // before any work — truncated, never "infeasible".
@@ -682,7 +663,7 @@ BinateCoverSolution solve_binate_cover(const BinateCoverProblem& p,
   // Each component gets the full node budget and a private result slot, so
   // the merged outcome is bit-identical for every thread count (only
   // wall-clock deadlines can break the tie, by design).
-  std::vector<ComponentResult> results(num_components);
+  std::vector<CoverSolution> results(num_components);
   const ExecContext sub_ctx{ctx.budget, nullptr, 1, ctx.tracer, ctx.metrics};
   parallel_for(num_components, ctx.num_threads, [&](std::size_t k) {
     results[k] = solve_component(subs[k], options, sub_ctx);
@@ -700,8 +681,8 @@ BinateCoverSolution solve_binate_cover(const BinateCoverProblem& p,
   sol.cost = red.forced_cost;
   red.value.for_each([&](std::size_t c) { sol.columns.push_back(c); });
   for (std::size_t k = 0; k < num_components; ++k) {
-    const ComponentResult& r = results[k];
-    sol.nodes_explored += r.nodes;
+    const CoverSolution& r = results[k];
+    sol.nodes_explored += r.nodes_explored;
     sol.propagations += r.propagations;
     sol.prune_hits += r.prune_hits;
     sol.arena_allocs += r.arena_allocs;
@@ -709,13 +690,13 @@ BinateCoverSolution solve_binate_cover(const BinateCoverProblem& p,
     sol.peak_arena_bytes = std::max(sol.peak_arena_bytes, r.peak_arena_bytes);
     if (first_trunc == Truncation::kNone) first_trunc = r.truncation;
     if (!r.feasible) {
-      if (r.complete)
-        proven_infeasible = true;
-      else
+      if (r.truncated)
         unknown = true;
+      else
+        proven_infeasible = true;
       continue;
     }
-    sol.optimal = sol.optimal && r.complete;
+    sol.optimal = sol.optimal && !r.truncated;
     sol.cost += r.cost;
     for (std::size_t c : r.columns)
       sol.columns.push_back(column_map[col_maps[k][c]]);

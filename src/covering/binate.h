@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "covering/cover.h"
 #include "util/bitset.h"
 #include "util/exec.h"
 
@@ -53,50 +54,6 @@ struct BinateCoverOptions {
   std::uint64_t max_nodes = 5'000'000;
 };
 
-struct BinateCoverSolution {
-  /// True when a satisfying selection was found. False means *either*
-  /// proven infeasible (`truncated == false`) or unknown because a budget
-  /// expired first (`truncated == true`) — check `truncated` before
-  /// treating it as a certificate.
-  bool feasible = false;
-  /// True when branch-and-bound proved optimality within every budget.
-  bool optimal = false;
-  /// Selected columns (variables assigned 1), ascending.
-  std::vector<std::size_t> columns;
-  /// Total weight of `columns`. Meaningful only when `feasible`; -1
-  /// otherwise (so "no solution" can never be mistaken for a legitimate
-  /// zero-cost cover of an empty problem).
-  int cost = -1;
-  std::uint64_t nodes_explored = 0;
-  /// Unit-propagation forced assignments (root + search), and
-  /// cost-/bound-based subtree prunes.
-  std::uint64_t propagations = 0;
-  std::uint64_t prune_hits = 0;
-  /// Free columns surviving the root reduction (the search ran over
-  /// these); see the covering bench.
-  std::size_t columns_after_reduction = 0;
-  /// Independent connected components the root decomposed the search into.
-  std::size_t components = 1;
-  /// Search-arena traffic summed over components (column + row sets):
-  /// fresh slot creations and free-list reuses. Deterministic across
-  /// thread counts — each component runs single-threaded with a private
-  /// node budget.
-  std::uint64_t arena_allocs = 0;
-  std::uint64_t arena_reuses = 0;
-  /// Largest single-component arena footprint in bytes.
-  std::size_t peak_arena_bytes = 0;
-  /// Uniform truncation shape (see docs/API.md): `truncated` always
-  /// mirrors `truncation != Truncation::kNone`.
-  bool truncated = false;
-  /// Why the search stopped early (kNone on a complete run): kNodeLimit
-  /// for the per-component node budget, kDeadline/kWorkBudget/kCancelled
-  /// for a shared Budget on `ctx`.
-  Truncation truncation = Truncation::kNone;
-
-  /// The search ran to completion and found no cover — a certificate.
-  bool proven_infeasible() const { return !feasible && !truncated; }
-};
-
 /// DPLL-style branch-and-bound with unit propagation, root reductions and
 /// component decomposition. After the root reduction the problem splits
 /// into its connected components (rows sharing no columns), each searched
@@ -106,8 +63,8 @@ struct BinateCoverSolution {
 /// every 1024 nodes) only affects whether the search completes. Throws
 /// std::invalid_argument when `weights` is non-empty with a size other
 /// than `num_columns`, or when a row's universe differs from it.
-BinateCoverSolution solve_binate_cover(const BinateCoverProblem& problem,
-                                       const BinateCoverOptions& options = {},
-                                       const ExecContext& ctx = {});
+CoverSolution solve_binate_cover(const BinateCoverProblem& problem,
+                                 const BinateCoverOptions& options = {},
+                                 const ExecContext& ctx = {});
 
 }  // namespace encodesat

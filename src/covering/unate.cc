@@ -5,6 +5,7 @@
 #include <limits>
 #include <numeric>
 
+#include "covering/check.h"
 #include "obs/counters.h"
 #include "obs/trace.h"
 #include "util/term_arena.h"
@@ -16,6 +17,14 @@ namespace {
 
 int column_weight(const UnateCoverProblem& p, std::size_t c) {
   return p.weights.empty() ? 1 : p.weights[c];
+}
+
+void check_problem(const char* solver, const UnateCoverProblem& p) {
+  check_cover_problem(
+      solver, p.num_columns, p.weights,
+      std::all_of(p.rows.begin(), p.rows.end(), [&](const Bitset& r) {
+        return r.size() == p.num_columns;
+      }));
 }
 
 // Search state shared across the branch-and-bound recursion. Rows are
@@ -226,8 +235,10 @@ struct Search {
 
 }  // namespace
 
-UnateCoverSolution greedy_unate_cover(const UnateCoverProblem& p) {
-  UnateCoverSolution sol;
+CoverSolution greedy_unate_cover(const UnateCoverProblem& p) {
+  check_problem("greedy_unate_cover", p);
+  CoverSolution sol;
+  int cost = 0;
   Bitset covered(p.rows.size());
   std::size_t remaining = p.rows.size();
   for (const Bitset& r : p.rows)
@@ -252,7 +263,7 @@ UnateCoverSolution greedy_unate_cover(const UnateCoverProblem& p) {
     }
     if (best == p.num_columns) return sol;  // cannot make progress
     sol.columns.push_back(best);
-    sol.cost += column_weight(p, best);
+    cost += column_weight(p, best);
     for (std::size_t r = 0; r < p.rows.size(); ++r)
       if (!covered.test(r) && p.rows[r].test(best)) {
         covered.set(r);
@@ -260,6 +271,7 @@ UnateCoverSolution greedy_unate_cover(const UnateCoverProblem& p) {
       }
   }
   sol.feasible = true;
+  sol.cost = cost;
   std::sort(sol.columns.begin(), sol.columns.end());
   return sol;
 }
@@ -332,14 +344,14 @@ namespace {
 // Greedy seed + branch-and-bound over an already column-reduced problem;
 // columns are returned in the reduced space. Runs single-threaded — the
 // parallelism lives one level up, across independent components.
-UnateCoverSolution solve_reduced(const UnateCoverProblem& q,
-                                 const UnateCoverOptions& options,
-                                 const ExecContext& ctx) {
+CoverSolution solve_reduced(const UnateCoverProblem& q,
+                            const UnateCoverOptions& options,
+                            const ExecContext& ctx) {
   TRACE_SCOPE(ctx, "unate_component");
-  UnateCoverSolution greedy = greedy_unate_cover(q);
+  CoverSolution greedy = greedy_unate_cover(q);
   if (!greedy.feasible) return greedy;
 
-  UnateCoverSolution sol;
+  CoverSolution sol;
   sol.feasible = true;
   sol.cost = greedy.cost;
   sol.columns = greedy.columns;
@@ -378,12 +390,13 @@ std::size_t dsu_find(std::vector<std::size_t>& parent, std::size_t x) {
 
 }  // namespace
 
-UnateCoverSolution solve_unate_cover(const UnateCoverProblem& p,
-                                     const UnateCoverOptions& options,
-                                     const ExecContext& ctx) {
+CoverSolution solve_unate_cover(const UnateCoverProblem& p,
+                                const UnateCoverOptions& options,
+                                const ExecContext& ctx) {
+  check_problem("solve_unate_cover", p);
   StageScope stage(ctx, "unate_cover");
   for (const Bitset& r : p.rows)
-    if (r.empty()) return UnateCoverSolution{};  // infeasible
+    if (r.empty()) return CoverSolution{};  // infeasible
 
   ReducedProblem reduced;
   {
@@ -417,7 +430,7 @@ UnateCoverSolution solve_unate_cover(const UnateCoverProblem& p,
   }
   const std::size_t num_components = roots.size();
 
-  UnateCoverSolution sol;
+  CoverSolution sol;
   if (num_components <= 1) {
     sol = solve_reduced(
         q, options,
@@ -450,7 +463,7 @@ UnateCoverSolution solve_unate_cover(const UnateCoverProblem& p,
     // Each component gets the full node budget and a private result slot,
     // so the merged outcome is bit-identical for every thread count (only
     // wall-clock deadlines can break the tie, by design).
-    std::vector<UnateCoverSolution> results(num_components);
+    std::vector<CoverSolution> results(num_components);
     const ExecContext sub_ctx{ctx.budget, nullptr, 1, ctx.tracer,
                               ctx.metrics};
     parallel_for(num_components, ctx.num_threads, [&](std::size_t k) {
@@ -459,9 +472,10 @@ UnateCoverSolution solve_unate_cover(const UnateCoverProblem& p,
 
     sol.feasible = true;
     sol.optimal = true;
+    sol.cost = 0;
     for (std::size_t k = 0; k < num_components; ++k) {
-      const UnateCoverSolution& r = results[k];
-      if (!r.feasible) return UnateCoverSolution{};
+      const CoverSolution& r = results[k];
+      if (!r.feasible) return CoverSolution{};
       sol.cost += r.cost;
       sol.nodes_explored += r.nodes_explored;
       sol.arena_allocs += r.arena_allocs;

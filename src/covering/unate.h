@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "covering/cover.h"
 #include "util/bitset.h"
 #include "util/exec.h"
 
@@ -31,46 +32,22 @@ struct UnateCoverOptions {
   std::uint64_t max_nodes = 2'000'000;
 };
 
-struct UnateCoverSolution {
-  bool feasible = false;
-  /// True when branch-and-bound proved optimality within the node budget.
-  bool optimal = false;
-  std::vector<std::size_t> columns;
-  int cost = 0;
-  std::uint64_t nodes_explored = 0;
-  /// Columns surviving the root coverage-dominance reduction (the search
-  /// ran over these; see the ablation bench).
-  std::size_t columns_after_reduction = 0;
-  /// Independent connected components the root decomposed the search into.
-  std::size_t components = 1;
-  /// Search-arena traffic, summed over components (col_sets + row_sets):
-  /// fresh slot creations and free-list reuses. Deterministic across thread
-  /// counts — each component runs single-threaded with a private budget.
-  std::uint64_t arena_allocs = 0;
-  std::uint64_t arena_reuses = 0;
-  /// Largest single-component arena footprint in bytes.
-  std::size_t peak_arena_bytes = 0;
-  /// Uniform truncation shape (see docs/API.md): `truncated` always mirrors
-  /// `truncation != Truncation::kNone`.
-  bool truncated = false;
-  /// Why optimality was not proved (kNone when `optimal`): kNodeLimit for
-  /// the node budget, kDeadline/kWorkBudget/kCancelled for a shared Budget.
-  Truncation truncation = Truncation::kNone;
-};
-
 /// Solves min-cost column selection such that every row contains a selected
 /// column. Infeasible iff some row is empty. After the root reduction the
 /// problem splits into its connected components (rows sharing no columns),
 /// each searched independently with its own `max_nodes` budget — and, when
 /// `ctx.num_threads` > 1, concurrently. The selected columns are identical
 /// for every thread count; `ctx.budget` (deadline/cancellation, polled
-/// every 1024 nodes) only affects whether optimality is proved.
-UnateCoverSolution solve_unate_cover(const UnateCoverProblem& problem,
-                                     const UnateCoverOptions& options = {},
-                                     const ExecContext& ctx = {});
+/// every 1024 nodes) only affects whether optimality is proved. Throws
+/// std::invalid_argument when `weights` is non-empty with a size other
+/// than `num_columns`, or when a row's universe differs from it.
+CoverSolution solve_unate_cover(const UnateCoverProblem& problem,
+                                const UnateCoverOptions& options = {},
+                                const ExecContext& ctx = {});
 
 /// Greedy (largest cover-count / weight first) — used as the upper bound
-/// seed and as the standalone heuristic solver.
-UnateCoverSolution greedy_unate_cover(const UnateCoverProblem& problem);
+/// seed and as the standalone heuristic solver. Checks its problem like
+/// solve_unate_cover.
+CoverSolution greedy_unate_cover(const UnateCoverProblem& problem);
 
 }  // namespace encodesat

@@ -232,7 +232,7 @@ FuzzCaseResult run_differential_case(const ConstraintSet& cs,
     const ConstraintSet permuted = apply_symbol_permutation(cs, rev);
     const Solver permuted_solver(permuted);
 
-    const CacheConfig cache_config{/*shards=*/8, opts.cache_max_bytes};
+    const CacheConfig cache_config{opts.cache_max_bytes};
     SolveCache warm(cache_config), fresh(cache_config);
     SolveOptions sw = solve_options(opts, 1);
     sw.cache.store = &warm;

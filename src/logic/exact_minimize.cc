@@ -146,8 +146,7 @@ ExactMinimizeResult exact_minimize(const Cover& on, const Cover& dc,
     }
   }
 
-  const UnateCoverSolution sol =
-      solve_unate_cover(problem, opts.cover_options);
+  const CoverSolution sol = solve_unate_cover(problem, opts.cover_options);
   if (!sol.feasible) return res;  // cannot happen: primes cover the ON-set
   res.status = ExactMinimizeResult::Status::kMinimized;
   res.optimal = sol.optimal;

@@ -95,12 +95,12 @@ bool write_all(int fd, bool is_socket, const std::string& data,
 /// can never race the transport reaping the connection. The drain
 /// handoff: once the transport marks EOF (no more slots will be
 /// allocated), the deliver() that completes the last outstanding slot
-/// fires `on_drained`, and the event loop closes the fd and drops its
-/// reference. The fd is borrowed, never closed here.
+/// fires `on_drained`, and the event loop reaps the connection and drops
+/// its reference. The fd is borrowed, never closed here.
 class Server::Session {
  public:
   Session(int out_fd, bool is_socket, int write_timeout_ms,
-          std::function<void()> on_drained = {})
+          std::function<void()> on_drained)
       : fd_(out_fd),
         socket_(is_socket),
         write_timeout_ms_(write_timeout_ms),
@@ -147,7 +147,7 @@ class Server::Session {
     }
     // Fired outside the lock; the hook only pokes the event loop's wake
     // pipe, and the loop re-checks drained() before reaping.
-    if (drained_now && on_drained_) on_drained_();
+    if (drained_now) on_drained_();
   }
 
   /// Transport thread only: no further alloc_seq() calls will happen.
@@ -357,58 +357,18 @@ void Server::reject_oversized(const std::shared_ptr<Session>& session) {
 
 int Server::run_pipe(int in_fd, int out_fd) {
   if (signal_pipe_[0] < 0) return -1;
-  auto session = std::make_shared<Session>(out_fd, /*is_socket=*/false,
-                                           cfg_.write_timeout_ms);
-  live_conns_.store(1, std::memory_order_relaxed);
-  std::string buffer;
-  bool signaled = false;
-  bool oversized = false;
-  char chunk[65536];
-  for (;;) {
-    struct pollfd fds[2] = {{in_fd, POLLIN, 0}, {signal_pipe_[0], POLLIN, 0}};
-    if (::poll(fds, 2, -1) < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if (fds[1].revents & POLLIN) {
-      signaled = true;
-      break;
-    }
-    if (!(fds[0].revents & (POLLIN | POLLHUP | POLLERR))) continue;
-    const ssize_t n = ::read(in_fd, chunk, sizeof chunk);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if (n == 0) break;  // EOF: finish everything queued
-    buffer.append(chunk, static_cast<std::size_t>(n));
-    if (!consume_lines(session, &buffer)) {
-      // A newline-less flood past the cap ends the session like EOF:
-      // answer with the oversized shape, stop reading, finish queued.
-      reject_oversized(session);
-      oversized = true;
-      break;
-    }
-  }
-  if (!signaled && !oversized && !buffer.empty()) {
-    // Final line without a trailing newline still counts.
-    if (buffer.back() == '\r') buffer.pop_back();
-    if (!buffer.empty())
-      handle_line(session, session->alloc_seq(), buffer);
-  }
-  broker_.drain(signaled ? DrainMode::kRejectQueued
-                         : DrainMode::kFinishQueued);
-  session->wait_flushed();
-  live_conns_.store(0, std::memory_order_relaxed);
-  return 0;
+  return run_loop(/*listen_fd=*/-1, /*unlink_path=*/"", in_fd, out_fd);
 }
 
-int Server::run_listener(int listen_fd, const std::string& unlink_path) {
-  set_cloexec(listen_fd);
-  set_nonblock(listen_fd);
+int Server::run_loop(int listen_fd, const std::string& unlink_path, int in_fd,
+                     int out_fd) {
+  if (listen_fd >= 0) {
+    set_cloexec(listen_fd);
+    set_nonblock(listen_fd);
+  }
   int wake[2];
   if (::pipe(wake) != 0) {
-    ::close(listen_fd);
+    if (listen_fd >= 0) ::close(listen_fd);
     last_error_ = "cannot create wake pipe";
     return -1;
   }
@@ -422,45 +382,67 @@ int Server::run_listener(int listen_fd, const std::string& unlink_path) {
     std::shared_ptr<Session> session;
     std::string buffer;
     bool eof = false;  ///< stop reading; reap once the session drained
+    bool borrowed = false;  ///< the pipe session: fds never shut or closed
     Clock::time_point last_activity;
   };
-  // Keyed by fd; an fd is erased (and only then closed) before it could
-  // ever be reused by a new accept, so keys never alias.
+  // Keyed by the read fd; an fd is erased (and only then closed) before it
+  // could ever be reused by a new accept, so keys never alias.
   std::map<int, Conn> conns;
-
+  const auto open_conn = [&](int fd, int write_fd, bool borrowed) {
+    Conn conn;
+    conn.borrowed = borrowed;
+    conn.last_activity = Clock::now();
+    const int wake_fd = wake[1];
+    conn.session = std::make_shared<Session>(
+        write_fd, /*is_socket=*/!borrowed, cfg_.write_timeout_ms, [wake_fd] {
+          const char byte = 'r';
+          [[maybe_unused]] const ssize_t n = ::write(wake_fd, &byte, 1);
+        });
+    conns.emplace(fd, std::move(conn));
+    live_conns_.fetch_add(1, std::memory_order_relaxed);
+  };
   const auto reap = [&](int fd) {
     const auto it = conns.find(fd);
     if (it == conns.end()) return;
-    ::close(fd);
+    if (!it->second.borrowed) {
+      ::close(fd);
+      count_conn("service.conn.reaped");
+    }
     conns.erase(it);
     live_conns_.fetch_sub(1, std::memory_order_relaxed);
-    count_conn("service.conn.reaped");
   };
   // Transition a connection into the no-more-reads state; reaps right
   // away when nothing is pending (the common churn case), otherwise the
   // final deliver() pokes the wake pipe.
   const auto end_reads = [&](int fd, Conn& conn) {
+    if (!conn.borrowed) ::shutdown(fd, SHUT_RD);
     conn.eof = true;
     if (conn.session->mark_eof()) reap(fd);
   };
 
+  // The pipe session has no listener, idle timeout or admission cap; the
+  // loop ends once it is reaped.
+  const bool pipe_mode = in_fd >= 0;
+  if (pipe_mode) open_conn(in_fd, out_fd, /*borrowed=*/true);
+  const int idle_timeout_ms = pipe_mode ? 0 : cfg_.idle_timeout_ms;
+
   char chunk[65536];
   std::vector<struct pollfd> fds;
-  for (;;) {
+  while (!pipe_mode || !conns.empty()) {
     fds.clear();
-    fds.push_back({listen_fd, POLLIN, 0});
+    fds.push_back({listen_fd, POLLIN, 0});  // poll() skips a negative fd
     fds.push_back({signal_pipe_[0], POLLIN, 0});
     fds.push_back({wake[0], POLLIN, 0});
     for (const auto& [fd, conn] : conns)
       if (!conn.eof) fds.push_back({fd, POLLIN, 0});
 
     int timeout_ms = -1;
-    if (cfg_.idle_timeout_ms > 0) {
+    if (idle_timeout_ms > 0) {
       const auto now = Clock::now();
       for (const auto& [fd, conn] : conns) {
         if (conn.eof) continue;
         const auto deadline =
-            conn.last_activity + std::chrono::milliseconds(cfg_.idle_timeout_ms);
+            conn.last_activity + std::chrono::milliseconds(idle_timeout_ms);
         const long long left =
             std::chrono::duration_cast<std::chrono::milliseconds>(deadline -
                                                                   now)
@@ -509,16 +491,7 @@ int Server::run_listener(int listen_fd, const std::string& unlink_path) {
           continue;
         }
         count_conn("service.conn.accepted");
-        live_conns_.fetch_add(1, std::memory_order_relaxed);
-        Conn conn;
-        conn.last_activity = Clock::now();
-        const int wake_fd = wake[1];
-        conn.session = std::make_shared<Session>(
-            cfd, /*is_socket=*/true, cfg_.write_timeout_ms, [wake_fd] {
-              const char byte = 'r';
-              [[maybe_unused]] const ssize_t n = ::write(wake_fd, &byte, 1);
-            });
-        conns.emplace(cfd, std::move(conn));
+        open_conn(cfd, cfd, /*borrowed=*/false);
       }
     }
 
@@ -533,8 +506,11 @@ int Server::run_listener(int listen_fd, const std::string& unlink_path) {
                     errno == EWOULDBLOCK))
         continue;
       if (n <= 0) {
-        // Client stopped sending (EOF or error); responses for what it
-        // did send still flow, then the connection is reaped.
+        // Client stopped sending (EOF or error). An unterminated final
+        // line is still a request; responses for everything read still
+        // flow, then the connection is reaped.
+        conn.buffer += '\n';
+        consume_lines(conn.session, &conn.buffer);
         end_reads(fd, conn);
         continue;
       }
@@ -542,46 +518,38 @@ int Server::run_listener(int listen_fd, const std::string& unlink_path) {
       conn.last_activity = Clock::now();
       if (!consume_lines(conn.session, &conn.buffer)) {
         reject_oversized(conn.session);
-        ::shutdown(fd, SHUT_RD);
         end_reads(fd, conn);
       }
     }
 
-    if (cfg_.idle_timeout_ms > 0) {
+    if (idle_timeout_ms > 0) {
       const auto now = Clock::now();
       std::vector<int> idle;
       for (const auto& [fd, conn] : conns)
         if (!conn.eof &&
             now - conn.last_activity >=
-                std::chrono::milliseconds(cfg_.idle_timeout_ms))
+                std::chrono::milliseconds(idle_timeout_ms))
           idle.push_back(fd);
       for (const int fd : idle) {
-        Conn& conn = conns.at(fd);
         count_conn("service.conn.idle_closed");
         broker_.log_transport_event("conn_idle", "ok");
-        ::shutdown(fd, SHUT_RD);
-        end_reads(fd, conn);
+        end_reads(fd, conns.at(fd));
       }
     }
   }
 
-  ::close(listen_fd);
+  if (listen_fd >= 0) ::close(listen_fd);
   if (!unlink_path.empty()) ::unlink(unlink_path.c_str());
   // Answer or reject everything accepted, then flush each remaining
   // connection's output and reap it. After drain() every submitted
   // request's callback has fired, so wait_flushed() terminates.
   broker_.drain(DrainMode::kRejectQueued);
   for (auto& [fd, conn] : conns) {
-    ::shutdown(fd, SHUT_RD);
+    if (!conn.borrowed) ::shutdown(fd, SHUT_RD);
     conn.session->mark_eof();
   }
-  for (auto& [fd, conn] : conns) {
-    conn.session->wait_flushed();
-    ::close(fd);
-    live_conns_.fetch_sub(1, std::memory_order_relaxed);
-    count_conn("service.conn.reaped");
-  }
-  conns.clear();
+  for (auto& [fd, conn] : conns) conn.session->wait_flushed();
+  while (!conns.empty()) reap(conns.begin()->first);
   for (const int fd : wake) ::close(fd);
   return 0;
 }
@@ -633,7 +601,7 @@ int Server::run_unix_socket(const std::string& path) {
     ::close(listen_fd);
     return -1;
   }
-  return run_listener(listen_fd, path);
+  return run_loop(listen_fd, path);
 }
 
 int Server::run_tcp(const std::string& host_port) {
@@ -700,7 +668,7 @@ int Server::run_tcp(const std::string& host_port) {
           ntohs(reinterpret_cast<const sockaddr_in6*>(&bound)->sin6_port),
           std::memory_order_release);
   }
-  return run_listener(listen_fd, /*unlink_path=*/"");
+  return run_loop(listen_fd, /*unlink_path=*/"");
 }
 
 namespace {

@@ -3,17 +3,19 @@
 // Three NDJSON transports over one Broker:
 //
 //  * run_pipe(in_fd, out_fd) — one session over a pair of byte streams
-//    (stdin/stdout in the CLI; pipe pairs in tests). Ends on EOF, which
-//    drains kFinishQueued: everything already read is answered.
+//    (stdin/stdout in the CLI; pipe pairs in tests). Ends once EOF was
+//    read and everything already read is answered.
 //  * run_unix_socket(path) — a listening Unix-domain socket.
 //  * run_tcp(host_port) — a listening TCP socket ("HOST:PORT", IPv4 or
 //    IPv6, SO_REUSEADDR; port 0 picks an ephemeral port, readable via
 //    bound_port()).
 //
-// Both listeners share one connection-lifecycle event loop: a single
-// thread poll()s {listen fd, signal pipe, wake pipe, every live
-// connection fd}, reads non-blocking, parses NDJSON lines in place and
-// dispatches them into the broker. There are no per-connection reader
+// All three run one connection-lifecycle event loop: a single thread
+// poll()s {listen fd, signal pipe, wake pipe, every live connection fd},
+// parses NDJSON lines in place and dispatches them into the broker. Pipe
+// mode is that loop with no listener and one borrowed connection (the fd
+// pair is never made non-blocking, shut down or closed, and is not counted
+// in `service.conn.accepted`/`reaped`). There are no per-connection reader
 // threads; a connection is three fields of state (fd, Session, read
 // buffer) and is **reaped eagerly** — the moment its client is gone and
 // its last response was written, the fd is closed and the Session freed,
@@ -31,8 +33,9 @@
 //    connection is closed (after every pending response flushed).
 //  * Idle timeout (`idle_timeout_ms`): a connection with no client bytes
 //    for that long is closed once its pending responses flushed.
-//  * EOF / client error: the connection stops reading; responses for
-//    requests already read still flow, then the connection is reaped.
+//  * EOF / client error: the connection stops reading; an unterminated
+//    final line is still a request, responses for requests already read
+//    still flow, then the connection is reaped.
 //
 // Reaping preserves the in-order response guarantee via a
 // deliver-then-reap handoff: broker workers deliver responses through
@@ -42,13 +45,14 @@
 // worker — closes the fd and drops the Session. Workers hold the Session
 // by shared_ptr, so a response in flight can never race the reap.
 //
-// Both loops poll a self-pipe alongside their input fds. request_drain()
+// The loop polls a self-pipe alongside its input fds. request_drain()
 // (async-signal-safe; ScopedDrainSignals routes SIGTERM/SIGINT to it)
-// makes the loop stop reading and drain kRejectQueued: in-flight solves
-// finish and are answered, queued requests complete as `overloaded`,
-// request lines never read are never answered. run_* returns only after
-// the broker drained and every accepted response was written, so the
-// caller can flush caches (--cache-save) and telemetry safely.
+// makes the loop stop reading and drain kRejectQueued on every transport,
+// also in pipe mode after EOF: in-flight solves finish and are answered,
+// queued requests complete as `overloaded`, request lines never read are
+// never answered. run_* returns only after the broker drained and every
+// accepted response was written, so the caller can flush caches
+// (--cache-save) and telemetry safely.
 //
 // Responses are written strictly in request order per session (the broker
 // completes out of order; a per-session sequence number + reorder buffer
@@ -113,8 +117,9 @@ class Server {
   Server& operator=(const Server&) = delete;
 
   /// Serves one session reading NDJSON requests from `in_fd` and writing
-  /// responses to `out_fd` until EOF or request_drain(). Returns 0, or -1
-  /// when the server's own plumbing failed (never for client errors).
+  /// responses to `out_fd` until EOF (then answers everything read) or
+  /// request_drain(). Both fds are borrowed. Returns 0, or -1 when the
+  /// server's own plumbing failed (never for client errors).
   int run_pipe(int in_fd, int out_fd);
 
   /// Binds `path` and serves connections until request_drain(). A stale
@@ -160,9 +165,12 @@ class Server {
   void handle_line(const std::shared_ptr<Session>& session, std::uint64_t seq,
                    const std::string& line);
 
-  /// The shared listener event loop (see the file comment). Owns and
-  /// closes `listen_fd`; `path` is unlinked on exit when non-empty.
-  int run_listener(int listen_fd, const std::string& unlink_path);
+  /// The one event loop behind every transport (see the file comment).
+  /// Owns and closes `listen_fd` (-1 for none); `unlink_path` is unlinked
+  /// on exit when non-empty. `in_fd` >= 0 adds the borrowed pipe session
+  /// (responses to `out_fd`), and the loop returns once it is reaped.
+  int run_loop(int listen_fd, const std::string& unlink_path, int in_fd = -1,
+               int out_fd = -1);
 
   /// Extracts complete lines from `*buffer` (stripping \r, skipping
   /// blanks) and dispatches each through handle_line. Returns false when

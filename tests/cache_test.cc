@@ -1,6 +1,6 @@
 // Tests for the canonicalization + solve-cache subsystem (src/cache/):
 // renaming invariance of the canonical form, LRU/byte-budget behavior of
-// the sharded cache, the encodesat-cache-v1 persistence round-trip, and
+// the cache, the encodesat-cache-v1 persistence round-trip, and
 // the facade-level guarantees (hit == miss bit-identity, thread-count
 // invariant counter fingerprints with the cache enabled).
 #include <gtest/gtest.h>
@@ -147,7 +147,7 @@ TEST(Canonical, PermutationRoundTrips) {
 }
 
 // Two shuffled renderings of the same reproducer file canonicalize to the
-// same key, so they hash to the same cache shard and entry.
+// same key, so they share one cache entry.
 TEST(Canonical, ShuffledReproducerRenderingsHashIdentically) {
   std::vector<std::string> files;
   const std::filesystem::path dir = ENCODESAT_FUZZ_CORPUS_DIR;
@@ -169,9 +169,9 @@ TEST(Canonical, ShuffledReproducerRenderingsHashIdentically) {
 }
 
 TEST(SolveCacheLru, EvictsLeastRecentlyUsedFirst) {
-  // One shard so the LRU order is global; budget sized for ~3 entries.
+  // Budget sized for ~3 entries.
   const std::size_t entry_bytes = SolveCache::approx_bytes(make_entry(4)) + 1;
-  SolveCache cache(CacheConfig{1, 3 * entry_bytes + 16});
+  SolveCache cache(CacheConfig{3 * entry_bytes + 16});
   cache.insert("a", make_entry(4));
   cache.insert("b", make_entry(4));
   cache.insert("c", make_entry(4));
@@ -187,7 +187,7 @@ TEST(SolveCacheLru, EvictsLeastRecentlyUsedFirst) {
 
 TEST(SolveCacheLru, ByteBudgetIsEnforced) {
   const std::size_t budget = 4 * (SolveCache::approx_bytes(make_entry(8)) + 8);
-  SolveCache cache(CacheConfig{1, budget});
+  SolveCache cache(CacheConfig{budget});
   for (int i = 0; i < 64; ++i)
     cache.insert("key" + std::to_string(i), make_entry(8));
   const CacheStats s = cache.stats();
@@ -202,7 +202,7 @@ TEST(SolveCacheLru, ByteBudgetIsEnforced) {
 }
 
 TEST(SolveCacheLru, UnlimitedBudgetNeverEvicts) {
-  SolveCache cache(CacheConfig{4, 0});
+  SolveCache cache(CacheConfig{0});
   for (int i = 0; i < 100; ++i)
     cache.insert("key" + std::to_string(i), make_entry(2));
   EXPECT_EQ(cache.stats().entries, 100u);
@@ -210,7 +210,7 @@ TEST(SolveCacheLru, UnlimitedBudgetNeverEvicts) {
 }
 
 TEST(SolveCachePersist, TextRoundTripPreservesEntries) {
-  SolveCache cache(CacheConfig{2, 0});
+  SolveCache cache(CacheConfig{0});
   SolveOutcome a = make_entry(3);
   a.uncovered = {1, 4};
   a.stats_fingerprint = 0xdeadbeefu;
@@ -222,7 +222,7 @@ TEST(SolveCachePersist, TextRoundTripPreservesEntries) {
   cache.insert("n2;f0;#4567", b);
   cache.insert("n2;f1;#89ab", c);
 
-  SolveCache loaded(CacheConfig{8, 0});
+  SolveCache loaded(CacheConfig{0});
   std::string err;
   ASSERT_TRUE(loaded.from_text(cache.to_text(), &err)) << err;
   SolveOutcome out;

@@ -63,6 +63,21 @@ TEST(UnateCover, RespectsWeights) {
   EXPECT_EQ(sol.columns, (std::vector<std::size_t>{1, 2}));
 }
 
+TEST(UnateCover, SolveValidatesProblemSize) {
+  auto p = make_unate(3, {{0, 1}, {1, 2}});
+  p.weights = {1, 2};  // shorter than num_columns
+  EXPECT_THROW(solve_unate_cover(p), std::invalid_argument);
+  p.weights = {1, 2, 3, 4};  // longer
+  EXPECT_THROW(solve_unate_cover(p), std::invalid_argument);
+  p.weights = {1, 2, 3};
+  EXPECT_TRUE(solve_unate_cover(p).feasible);
+  Bitset wide(40);  // a row of another universe
+  wide.set(39);
+  p.rows.push_back(wide);
+  EXPECT_THROW(solve_unate_cover(p), std::invalid_argument);
+  EXPECT_THROW(greedy_unate_cover(p), std::invalid_argument);
+}
+
 int brute_force_unate(const UnateCoverProblem& p) {
   int best = -1;
   for (std::uint64_t mask = 0; mask < (std::uint64_t{1} << p.num_columns);

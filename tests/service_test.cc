@@ -16,6 +16,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <csignal>
@@ -767,6 +768,59 @@ TEST(ServiceServer, SigtermDrainsInFlightCompletesQueuedRejectedCacheFlushed) {
   std::remove(path.c_str());
 }
 
+TEST(ServiceServer, PipeModeSigtermAfterEofRejectsQueued) {
+  // SIGTERM drains kRejectQueued in pipe mode after EOF too: the request
+  // on the worker finishes, the queued one is answered `overloaded`
+  // instead of being run first.
+  PipePair req_pipe, resp_pipe;
+  Gate gate;
+  MetricsRegistry metrics;
+  ServerConfig cfg;
+  cfg.broker.workers = 1;
+  cfg.broker.max_queue = 0;  // unbounded: probes only see "server draining"
+  cfg.broker.metrics = &metrics;
+  cfg.metrics = &metrics;
+  cfg.broker.solve_fn = [&](const SolveRequest& req) {
+    gate.entered.fetch_add(1);
+    gate.wait_open();
+    return solve(req);
+  };
+  Server server(cfg);
+  ScopedDrainSignals signals(&server);
+
+  std::thread serving([&] {
+    EXPECT_EQ(server.run_pipe(req_pipe.read_end(), resp_pipe.write_end()), 0);
+    ::close(resp_pipe.fds[1]);
+    resp_pipe.fds[1] = -1;
+  });
+  write_str(req_pipe.write_end(),
+            "{\"id\":\"inflight\",\"constraints\":"
+            "\"face a b c\\ndominance a b\"}\n"
+            "{\"id\":\"queued\",\"constraints\":\"face x y\"}\n");
+  gate.wait_entered(1);  // "inflight" is on the worker, "queued" submitted
+  req_pipe.close_write();
+  // Let the server read the EOF before the signal lands: that order is
+  // the one under test (either order must reject "queued").
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  ASSERT_EQ(::kill(::getpid(), SIGTERM), 0);
+  // Hold the in-flight solve until admission has provably closed, so
+  // "queued" cannot sneak onto the freed worker.
+  Collected probes;
+  while (server.broker().submit(named_request("probe"), probes.collector()))
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  gate.release();
+  const std::string out = read_all(resp_pipe.read_end());
+  serving.join();
+
+  EXPECT_NE(out.find("\"id\":\"inflight\",\"status\":\"ok\""),
+            std::string::npos)
+      << out;
+  EXPECT_NE(out.find("\"id\":\"queued\",\"status\":\"overloaded\""),
+            std::string::npos)
+      << "SIGTERM after EOF rejects what is still queued: " << out;
+  EXPECT_GE(metrics.counter("service.drained", false)->value(), 1u);
+}
+
 TEST(ServiceServer, StalledClientDoesNotWedgeWorkersOrDrain) {
   // A client that stops reading (full pipe buffer) must not block a
   // broker worker forever inside a response write — that worker would
@@ -798,7 +852,7 @@ TEST(ServiceServer, StalledClientDoesNotWedgeWorkersOrDrain) {
     requests += "{\"id\":\"r" + std::to_string(i) +
                 "\",\"constraints\":\"face a b c\\ndominance a b\"}\n";
   write_str(req_pipe.write_end(), requests);
-  req_pipe.close_write();  // EOF: drain kFinishQueued
+  req_pipe.close_write();  // EOF: everything read is still answered
   // The only assertion that matters: the server comes back at all (the
   // test would time out if a worker wedged on the stalled write).
   serving.join();
@@ -1035,6 +1089,23 @@ int count_open_fds() {
 constexpr const char kSolveLine[] =
     "{\"id\":\"r\",\"constraints\":\"face a b c\\ndominance a b\"}\n";
 
+/// Sends two requests, the last without a trailing newline, then shuts
+/// down the write side: both are answered in order, and the server closes
+/// the connection once they are written.
+void expect_final_line_answered(int fd) {
+  write_str(fd,
+            "{\"id\":\"r1\",\"constraints\":\"face a b c\\ndominance a b\"}\n"
+            "{\"id\":\"r2\",\"constraints\":\"face x y\"}");
+  ASSERT_EQ(::shutdown(fd, SHUT_WR), 0);
+  const std::string out = read_all(fd);
+  ::close(fd);
+  const std::size_t nl = out.find('\n');
+  ASSERT_NE(nl, std::string::npos) << out;
+  EXPECT_EQ(out.find("{\"id\":\"r1\",\"status\":\"ok\""), 0u) << out;
+  EXPECT_EQ(out.find("{\"id\":\"r2\",\"status\":\"ok\""), nl + 1) << out;
+  EXPECT_EQ(std::count(out.begin(), out.end(), '\n'), 2) << out;
+}
+
 TEST(ServiceServer, UnixChurnReapsEagerlyAndFdsReturnToBaseline) {
   // The regression this PR fixes: the old transport kept every
   // {fd, session, thread} triple until teardown, so connect/disconnect
@@ -1112,6 +1183,20 @@ TEST(ServiceServer, OversizedSocketLineAnswersParseErrorAndCloses) {
   EXPECT_EQ(metrics.counter("service.conn.oversized_line", false)->value(),
             1u);
 
+  server.request_drain();
+  serving.join();
+}
+
+TEST(ServiceServer, SocketAnswersFinalLineWithoutNewline) {
+  const std::string path = temp_socket_path("encodesat_final_line.sock");
+  std::remove(path.c_str());
+  ServerConfig cfg;
+  cfg.broker.workers = 2;
+  Server server(cfg);
+  std::thread serving([&] { EXPECT_EQ(server.run_unix_socket(path), 0); });
+  const int fd = connect_unix_retry(path);
+  ASSERT_GE(fd, 0);
+  expect_final_line_answered(fd);
   server.request_drain();
   serving.join();
 }
@@ -1224,7 +1309,7 @@ TEST(ServiceServer, RefusesLiveSocketReplacesStaleRejectsNonSocket) {
   serving.join();
 
   // Stale: a socket file with no listener behind it is unlinked and
-  // replaced. (run_listener unlinks on exit, so fabricate one.)
+  // replaced. (run_unix_socket unlinks on exit, so fabricate one.)
   {
     const int dead = ::socket(AF_UNIX, SOCK_STREAM, 0);
     ASSERT_GE(dead, 0);
@@ -1309,6 +1394,20 @@ TEST(ServiceTcp, MultiClientPipelinedSolvesAnswerInOrder) {
             static_cast<std::uint64_t>(kClients));
   EXPECT_EQ(metrics.counter("service.conn.reaped", false)->value(),
             static_cast<std::uint64_t>(kClients));
+}
+
+TEST(ServiceTcp, AnswersFinalLineWithoutNewline) {
+  ServerConfig cfg;
+  cfg.broker.workers = 2;
+  Server server(cfg);
+  std::thread serving([&] { EXPECT_EQ(server.run_tcp("127.0.0.1:0"), 0); });
+  const int port = wait_bound_port(server);
+  ASSERT_GT(port, 0);
+  const int fd = connect_tcp(port);
+  ASSERT_GE(fd, 0);
+  expect_final_line_answered(fd);
+  server.request_drain();
+  serving.join();
 }
 
 TEST(ServiceTcp, MaxConnsRejectionMatchesUnixShape) {

@@ -307,9 +307,9 @@ TEST(UnateCover, IndependentComponentsSolvedInParallelMatchSequential) {
       p.rows.push_back(row);
     }
   }
-  const UnateCoverSolution seq = solve_unate_cover(p, {}, ExecContext{});
+  const CoverSolution seq = solve_unate_cover(p, {}, ExecContext{});
   const ExecContext par_ctx{nullptr, nullptr, 4};
-  const UnateCoverSolution par = solve_unate_cover(p, {}, par_ctx);
+  const CoverSolution par = solve_unate_cover(p, {}, par_ctx);
   ASSERT_TRUE(seq.feasible);
   EXPECT_TRUE(seq.optimal);
   EXPECT_EQ(seq.cost, 6);  // 2 columns per 3-cycle
