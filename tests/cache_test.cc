@@ -52,6 +52,22 @@ ConstraintSet extension_constraints() {
       "nonface e a c\n");
 }
 
+// One constraint of every class with every symbol-id field filled: a face
+// with don't-cares, a dominance, a disjunctive, an extended disjunctive
+// with two conjunctions of two members, a distance-2 pair written high id
+// first under the canonical labeling, a non-face, and one symbol (h) that
+// no constraint references.
+ConstraintSet every_field_constraints() {
+  return parse_constraints(
+      "face a b [c d]\n"
+      "dominance a e\n"
+      "disjunctive e b c\n"
+      "extdisjunctive f : a b | c e\n"
+      "symbol h\n"
+      "distance2 a g\n"
+      "nonface b d g\n");
+}
+
 // A rendering of `cs` with symbols renamed by `perm` and the constraint
 // lines emitted in a shuffled order — the same abstract instance as far as
 // canonicalization is concerned.
@@ -144,6 +160,33 @@ TEST(Canonical, PermutationRoundTrips) {
   // structure (same canonical key trivially, but also the same rendering).
   const ConstraintSet mapped = apply_symbol_permutation(cs, cz.perm.to_canonical);
   EXPECT_EQ(canonicalize(mapped).canon.key, cz.canon.key);
+}
+
+// Names travel with their symbols, so a permutation renders the same text
+// and its inverse restores the symbol table too. Every symbol moves, so an
+// id field the permutation missed would render another symbol's name.
+TEST(Canonical, PermutationAndInverseRestoreRendering) {
+  const ConstraintSet cs = every_field_constraints();
+  EXPECT_EQ(cs.to_string(),
+            "symbol h\n"
+            "face a b [c d ]\n"
+            "dominance a e\n"
+            "disjunctive e b c\n"
+            "extdisjunctive f : a b | c e\n"
+            "distance2 a g\n"
+            "nonface b d g\n");
+  const std::uint32_t n = cs.num_symbols();
+  std::vector<std::uint32_t> rotate(n), inverse(n);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    rotate[i] = (i + 1) % n;
+    inverse[rotate[i]] = i;
+  }
+  const ConstraintSet moved = apply_symbol_permutation(cs, rotate);
+  EXPECT_EQ(moved.symbols().name(0), cs.symbols().name(n - 1));
+  EXPECT_EQ(moved.to_string(), cs.to_string());
+  const ConstraintSet back = apply_symbol_permutation(moved, inverse);
+  EXPECT_EQ(back.symbols().names(), cs.symbols().names());
+  EXPECT_EQ(back.to_string(), cs.to_string());
 }
 
 // Two shuffled renderings of the same reproducer file canonicalize to the
@@ -272,6 +315,35 @@ TEST(SolveCacheGolden, CacheV1TextMatchesGoldenFile) {
 // Not a check: prints the current rendering for regeneration.
 TEST(SolveCacheGolden, DISABLED_PrintCurrent) {
   std::printf("%s", golden_cache_text().c_str());
+}
+
+// Pins the canonical key of an instance that fills every symbol-id field
+// of the six classes. The key is the cache-v1 entry name, and no entry of
+// cache_v1.golden has a don't-care part or an extended disjunctive, so a
+// change to how any field is relabeled or ordered shows up here. The
+// materialized canonical instance is pinned with it.
+TEST(SolveCacheGolden, CanonicalKeyCoversEverySymbolField) {
+  const ConstraintSet cs = every_field_constraints();
+  const Canonicalization cz = canonicalize(cs);
+  EXPECT_TRUE(cz.canon.exact);
+  EXPECT_EQ(cz.canon.key, "n8;f5,7|3,6;d7>2;j2=5,6;x4=2.6|5.7;t0,7;u0,3,5;");
+  EXPECT_EQ(cz.canon.set.to_string(),
+            "symbol v1\n"
+            "face v5 v7 [v3 v6 ]\n"
+            "dominance v7 v2\n"
+            "disjunctive v2 v5 v6\n"
+            "extdisjunctive v4 : v2 v6 | v5 v7\n"
+            "distance2 v0 v7\n"
+            "nonface v0 v3 v5\n");
+  // "distance2 a g" is high id first under the canonical labeling, so
+  // the key's t0,7 shows the pair normalized low id first.
+  const std::vector<std::uint32_t>& to_canonical = cz.perm.to_canonical;
+  EXPECT_GT(to_canonical[cs.symbols().at("a")],
+            to_canonical[cs.symbols().at("g")]);
+  for (std::uint64_t seed : {5u, 6u})
+    EXPECT_EQ(canonicalize(shuffled_rendering(cs, seed)).canon.key,
+              cz.canon.key)
+        << "seed " << seed;
 }
 
 // Save a warmed cache to disk, load it fresh, and re-solve the same

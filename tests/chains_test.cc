@@ -71,6 +71,30 @@ TEST(Chains, HonorsOutputConstraints) {
   EXPECT_TRUE(chains_satisfied(res.encoding, {chain}));
 }
 
+// The search's node counts, recorded. Every placement of a chain's
+// symbols is checked against the faces before the search goes deeper.
+TEST(Chains, NodeCountsAreStable) {
+  ConstraintSet cube = parse_constraints(
+      "face a b c d\nface a b e f\nface a c e g\nsymbol h");
+  ChainConstraint hgf;
+  for (const char* s : {"h", "g", "f"})
+    hgf.sequence.push_back(cube.symbols().at(s));
+  const auto encoded = encode_with_chains(cube, {hgf}, 3);
+  ASSERT_EQ(encoded.status, ChainEncodeResult::Status::kEncoded);
+  EXPECT_TRUE(chains_satisfied(encoded.encoding, {hgf}));
+  EXPECT_TRUE(verify_encoding(encoded.encoding, cube).empty());
+  EXPECT_EQ(encoded.nodes_explored, 112u);
+
+  ConstraintSet tight = parse_constraints(
+      "face a b\nface c d e\nface e f\nface a g\nsymbol h");
+  ChainConstraint bcf;
+  for (const char* s : {"b", "c", "f"})
+    bcf.sequence.push_back(tight.symbols().at(s));
+  const auto infeasible = encode_with_chains(tight, {bcf}, 3);
+  EXPECT_EQ(infeasible.status, ChainEncodeResult::Status::kInfeasible);
+  EXPECT_EQ(infeasible.nodes_explored, 129u);
+}
+
 TEST(Chains, ArgumentValidation) {
   ConstraintSet cs = parse_constraints("symbol a\nsymbol b");
   ChainConstraint chain;
