@@ -177,90 +177,33 @@ std::vector<std::vector<std::uint32_t>> cells_of(
 }
 
 // ---------------------------------------------------------------------------
-// Normalized rendering under a symbol mapping.
+// Rendering under a symbol labeling.
 
-struct Normalized {
-  std::vector<FaceConstraint> faces;
-  std::vector<DominanceConstraint> dominances;
-  std::vector<DisjunctiveConstraint> disjunctives;
-  std::vector<ExtendedDisjunctiveConstraint> extended;
-  std::vector<Distance2Constraint> distance2s;
-  std::vector<NonFaceConstraint> nonfaces;
-};
-
-std::vector<std::uint32_t> mapped_sorted(
-    const std::vector<std::uint32_t>& ids,
-    const std::vector<std::uint32_t>& to_new) {
-  std::vector<std::uint32_t> out;
-  out.reserve(ids.size());
-  for (std::uint32_t id : ids) out.push_back(to_new[id]);
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-/// Applies `to_new` to every constraint, sorts members within each
-/// constraint and constraints within each class — the unique rendering of
-/// the instance under that labeling.
-Normalized normalize_mapped(const ConstraintSet& cs,
-                            const std::vector<std::uint32_t>& to_new) {
-  Normalized out;
-  for (const FaceConstraint& f : cs.faces())
-    out.faces.push_back(
-        {mapped_sorted(f.members, to_new), mapped_sorted(f.dontcares, to_new)});
-  std::sort(out.faces.begin(), out.faces.end(),
-            [](const FaceConstraint& a, const FaceConstraint& b) {
-              if (a.members != b.members) return a.members < b.members;
-              return a.dontcares < b.dontcares;
-            });
-
-  for (const DominanceConstraint& d : cs.dominances())
-    out.dominances.push_back({to_new[d.dominator], to_new[d.dominated]});
-  std::sort(out.dominances.begin(), out.dominances.end(),
-            [](const DominanceConstraint& a, const DominanceConstraint& b) {
-              if (a.dominator != b.dominator) return a.dominator < b.dominator;
-              return a.dominated < b.dominated;
-            });
-
-  for (const DisjunctiveConstraint& d : cs.disjunctives())
-    out.disjunctives.push_back(
-        {to_new[d.parent], mapped_sorted(d.children, to_new)});
-  std::sort(out.disjunctives.begin(), out.disjunctives.end(),
-            [](const DisjunctiveConstraint& a, const DisjunctiveConstraint& b) {
-              if (a.parent != b.parent) return a.parent < b.parent;
-              return a.children < b.children;
-            });
-
-  for (const ExtendedDisjunctiveConstraint& e : cs.extended_disjunctives()) {
-    ExtendedDisjunctiveConstraint m;
-    m.parent = to_new[e.parent];
-    for (const auto& conj : e.conjunctions)
-      m.conjunctions.push_back(mapped_sorted(conj, to_new));
-    std::sort(m.conjunctions.begin(), m.conjunctions.end());
-    out.extended.push_back(std::move(m));
+/// `cs` relabeled by `to_new`, with members sorted within each constraint
+/// (a distance-2 pair low id first) and constraints sorted within each
+/// class — the unique rendering of the instance under that labeling.
+ConstraintSet normalize_mapped(const ConstraintSet& cs,
+                               const std::vector<std::uint32_t>& to_new) {
+  ConstraintSet out = cs.relabeled(to_new);
+  auto sort_all = [](auto& v) { std::sort(v.begin(), v.end()); };
+  for (FaceConstraint& f : out.faces()) {
+    sort_all(f.members);
+    sort_all(f.dontcares);
   }
-  std::sort(out.extended.begin(), out.extended.end(),
-            [](const ExtendedDisjunctiveConstraint& a,
-               const ExtendedDisjunctiveConstraint& b) {
-              if (a.parent != b.parent) return a.parent < b.parent;
-              return a.conjunctions < b.conjunctions;
-            });
-
-  for (const Distance2Constraint& d : cs.distance2s()) {
-    const std::uint32_t x = to_new[d.a], y = to_new[d.b];
-    out.distance2s.push_back({std::min(x, y), std::max(x, y)});
+  for (DisjunctiveConstraint& d : out.disjunctives()) sort_all(d.children);
+  for (ExtendedDisjunctiveConstraint& e : out.extended_disjunctives()) {
+    for (auto& conj : e.conjunctions) sort_all(conj);
+    sort_all(e.conjunctions);
   }
-  std::sort(out.distance2s.begin(), out.distance2s.end(),
-            [](const Distance2Constraint& a, const Distance2Constraint& b) {
-              if (a.a != b.a) return a.a < b.a;
-              return a.b < b.b;
-            });
-
-  for (const NonFaceConstraint& f : cs.nonfaces())
-    out.nonfaces.push_back({mapped_sorted(f.members, to_new)});
-  std::sort(out.nonfaces.begin(), out.nonfaces.end(),
-            [](const NonFaceConstraint& a, const NonFaceConstraint& b) {
-              return a.members < b.members;
-            });
+  for (Distance2Constraint& d : out.distance2s())
+    if (d.a > d.b) std::swap(d.a, d.b);
+  for (NonFaceConstraint& f : out.nonfaces()) sort_all(f.members);
+  sort_all(out.faces());
+  sort_all(out.dominances());
+  sort_all(out.disjunctives());
+  sort_all(out.extended_disjunctives());
+  sort_all(out.distance2s());
+  sort_all(out.nonfaces());
   return out;
 }
 
@@ -275,9 +218,9 @@ void append_ids(std::string& out, const std::vector<std::uint32_t>& ids) {
 ///   n<N>; then per constraint one of
 ///   f<ids>[|<ids>];  d<a>><b>;  j<p>=<ids>;  x<p>=<c.c|c.c>;
 ///   t<a>,<b>;  u<ids>;
-std::string render_key(const Normalized& nz, std::size_t num_symbols) {
+std::string render_key(const ConstraintSet& nz, std::size_t num_symbols) {
   std::string out = "n" + std::to_string(num_symbols) + ";";
-  for (const FaceConstraint& f : nz.faces) {
+  for (const FaceConstraint& f : nz.faces()) {
     out += 'f';
     append_ids(out, f.members);
     if (!f.dontcares.empty()) {
@@ -286,15 +229,15 @@ std::string render_key(const Normalized& nz, std::size_t num_symbols) {
     }
     out += ';';
   }
-  for (const DominanceConstraint& d : nz.dominances)
+  for (const DominanceConstraint& d : nz.dominances())
     out += 'd' + std::to_string(d.dominator) + '>' +
            std::to_string(d.dominated) + ';';
-  for (const DisjunctiveConstraint& d : nz.disjunctives) {
+  for (const DisjunctiveConstraint& d : nz.disjunctives()) {
     out += 'j' + std::to_string(d.parent) + '=';
     append_ids(out, d.children);
     out += ';';
   }
-  for (const ExtendedDisjunctiveConstraint& e : nz.extended) {
+  for (const ExtendedDisjunctiveConstraint& e : nz.extended_disjunctives()) {
     out += 'x' + std::to_string(e.parent) + '=';
     for (std::size_t ci = 0; ci < e.conjunctions.size(); ++ci) {
       if (ci) out += '|';
@@ -305,9 +248,9 @@ std::string render_key(const Normalized& nz, std::size_t num_symbols) {
     }
     out += ';';
   }
-  for (const Distance2Constraint& d : nz.distance2s)
+  for (const Distance2Constraint& d : nz.distance2s())
     out += 't' + std::to_string(d.a) + ',' + std::to_string(d.b) + ';';
-  for (const NonFaceConstraint& f : nz.nonfaces) {
+  for (const NonFaceConstraint& f : nz.nonfaces()) {
     out += 'u';
     append_ids(out, f.members);
     out += ';';
@@ -344,6 +287,7 @@ struct Search {
   bool exact = true;
   std::string best_key;
   std::vector<std::uint32_t> best_to_canonical;
+  ConstraintSet best_set;
 
   void run(std::vector<std::uint64_t> colors, std::uint64_t depth) {
     while (true) {
@@ -397,11 +341,12 @@ struct Search {
     std::uint32_t rank = 0;
     for (const auto& cell : cells)
       for (std::uint32_t id : cell) to_canonical[id] = rank++;
-    std::string key =
-        render_key(normalize_mapped(cs, to_canonical), cs.num_symbols());
+    ConstraintSet set = normalize_mapped(cs, to_canonical);
+    std::string key = render_key(set, cs.num_symbols());
     if (best_key.empty() || key < best_key) {
       best_key = std::move(key);
       best_to_canonical = std::move(to_canonical);
+      best_set = std::move(set);
     }
   }
 };
@@ -410,37 +355,11 @@ struct Search {
 
 ConstraintSet apply_symbol_permutation(
     const ConstraintSet& cs, const std::vector<std::uint32_t>& to_new) {
-  const std::size_t n = cs.num_symbols();
-  std::vector<std::string> names(n);
-  for (std::size_t i = 0; i < n; ++i)
-    names[to_new[i]] = cs.symbols().name(static_cast<std::uint32_t>(i));
-  SymbolTable table;
-  for (const std::string& name : names) table.intern(name);
-
-  ConstraintSet out(std::move(table));
-  auto map_ids = [&](const std::vector<std::uint32_t>& ids) {
-    std::vector<std::uint32_t> m;
-    m.reserve(ids.size());
-    for (std::uint32_t id : ids) m.push_back(to_new[id]);
-    return m;
-  };
-  for (const FaceConstraint& f : cs.faces())
-    out.faces().push_back({map_ids(f.members), map_ids(f.dontcares)});
-  for (const DominanceConstraint& d : cs.dominances())
-    out.dominances().push_back({to_new[d.dominator], to_new[d.dominated]});
-  for (const DisjunctiveConstraint& d : cs.disjunctives())
-    out.disjunctives().push_back({to_new[d.parent], map_ids(d.children)});
-  for (const ExtendedDisjunctiveConstraint& e : cs.extended_disjunctives()) {
-    ExtendedDisjunctiveConstraint m;
-    m.parent = to_new[e.parent];
-    for (const auto& conj : e.conjunctions)
-      m.conjunctions.push_back(map_ids(conj));
-    out.extended_disjunctives().push_back(std::move(m));
-  }
-  for (const Distance2Constraint& d : cs.distance2s())
-    out.distance2s().push_back({to_new[d.a], to_new[d.b]});
-  for (const NonFaceConstraint& f : cs.nonfaces())
-    out.nonfaces().push_back({map_ids(f.members)});
+  std::vector<std::string> names(cs.num_symbols());
+  for (std::uint32_t i = 0; i < names.size(); ++i)
+    names[to_new[i]] = cs.symbols().name(i);
+  ConstraintSet out = cs.relabeled(to_new);
+  for (const std::string& name : names) out.symbols().intern(name);
   return out;
 }
 
@@ -452,7 +371,7 @@ Canonicalization canonicalize(const ConstraintSet& cs,
   Search search{cs, std::max<std::size_t>(max_leaves, 1),
                 render_key(normalize_mapped(cs, identity_mapping(n)), n),
                 /*leaves=*/0, /*exact=*/true, /*best_key=*/{},
-                /*best_to_canonical=*/{}};
+                /*best_to_canonical=*/{}, /*best_set=*/{}};
   search.run(std::vector<std::uint64_t>(n, 0), /*depth=*/0);
 
   SymbolPermutation& perm = result.perm;
@@ -465,19 +384,11 @@ Canonicalization canonicalize(const ConstraintSet& cs,
   canon.exact = search.exact;
   canon.key = std::move(search.best_key);
 
-  // Materialize the canonical instance: symbols v0..v{n-1}, constraints in
-  // the exact order the key renders them.
-  SymbolTable table;
-  for (std::size_t i = 0; i < n; ++i) table.intern("v" + std::to_string(i));
-  ConstraintSet canon_set(std::move(table));
-  Normalized nz = normalize_mapped(cs, perm.to_canonical);
-  canon_set.faces() = std::move(nz.faces);
-  canon_set.dominances() = std::move(nz.dominances);
-  canon_set.disjunctives() = std::move(nz.disjunctives);
-  canon_set.extended_disjunctives() = std::move(nz.extended);
-  canon_set.distance2s() = std::move(nz.distance2s);
-  canon_set.nonfaces() = std::move(nz.nonfaces);
-  canon.set = std::move(canon_set);
+  // The canonical instance: the best leaf's constraints, in the exact
+  // order the key renders them, over symbols v0..v{n-1}.
+  canon.set = std::move(search.best_set);
+  for (std::size_t i = 0; i < n; ++i)
+    canon.set.symbols().intern("v" + std::to_string(i));
   return result;
 }
 

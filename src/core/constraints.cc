@@ -72,6 +72,19 @@ void ConstraintSet::add_disjunctive_ids(std::uint32_t parent,
   disjunctives_.push_back(DisjunctiveConstraint{parent, std::move(children)});
 }
 
+ConstraintSet ConstraintSet::relabeled(
+    const std::vector<std::uint32_t>& to_new) const {
+  ConstraintSet out;
+  out.faces_ = faces_;
+  out.dominances_ = dominances_;
+  out.disjunctives_ = disjunctives_;
+  out.extended_ = extended_;
+  out.distance2s_ = distance2s_;
+  out.nonfaces_ = nonfaces_;
+  out.for_each_symbol([&](std::uint32_t& id) { id = to_new[id]; });
+  return out;
+}
+
 std::string ConstraintSet::to_string() const {
   std::ostringstream out;
   auto emit_names = [&](const std::vector<std::uint32_t>& ids) {
@@ -81,30 +94,7 @@ std::string ConstraintSet::to_string() const {
   // distinct codes and can intrude into faces), so declare them explicitly
   // to keep write -> parse a faithful round trip.
   std::vector<bool> referenced(symbols_.size(), false);
-  auto mark = [&](const std::vector<std::uint32_t>& ids) {
-    for (std::uint32_t id : ids) referenced[id] = true;
-  };
-  for (const auto& f : faces_) {
-    mark(f.members);
-    mark(f.dontcares);
-  }
-  for (const auto& d : dominances_) {
-    referenced[d.dominator] = true;
-    referenced[d.dominated] = true;
-  }
-  for (const auto& d : disjunctives_) {
-    referenced[d.parent] = true;
-    mark(d.children);
-  }
-  for (const auto& e : extended_) {
-    referenced[e.parent] = true;
-    for (const auto& conj : e.conjunctions) mark(conj);
-  }
-  for (const auto& d : distance2s_) {
-    referenced[d.a] = true;
-    referenced[d.b] = true;
-  }
-  for (const auto& nf : nonfaces_) mark(nf.members);
+  for_each_symbol([&](std::uint32_t id) { referenced[id] = true; });
   for (std::uint32_t id = 0; id < symbols_.size(); ++id)
     if (!referenced[id]) out << "symbol " << symbols_.name(id) << '\n';
   for (const auto& f : faces_) {

@@ -15,9 +15,13 @@
 //
 // Constraint member sets are stored as index vectors because symbols are
 // interned incrementally while building; algorithms convert to Bitsets over
-// the final symbol universe via the *_bitset helpers.
+// the final symbol universe via the *_bitset helpers. ConstraintSet is the
+// one place that knows which fields hold a symbol id: code that only needs
+// every id, whatever its role, goes through for_each_symbol or relabeled.
+// Each constraint compares field by field in declaration order.
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -33,35 +37,41 @@ namespace encodesat {
 struct FaceConstraint {
   std::vector<std::uint32_t> members;
   std::vector<std::uint32_t> dontcares;
+  auto operator<=>(const FaceConstraint&) const = default;
 };
 
 /// dominator > dominated.
 struct DominanceConstraint {
   std::uint32_t dominator = 0;
   std::uint32_t dominated = 0;
+  auto operator<=>(const DominanceConstraint&) const = default;
 };
 
 /// parent = OR of children (two or more children).
 struct DisjunctiveConstraint {
   std::uint32_t parent = 0;
   std::vector<std::uint32_t> children;
+  auto operator<=>(const DisjunctiveConstraint&) const = default;
 };
 
 /// OR over conjunctions of children >= parent (Section 6.2, from GPIs).
 struct ExtendedDisjunctiveConstraint {
   std::uint32_t parent = 0;
   std::vector<std::vector<std::uint32_t>> conjunctions;
+  auto operator<=>(const ExtendedDisjunctiveConstraint&) const = default;
 };
 
 /// hamming distance between the two codes must be >= 2.
 struct Distance2Constraint {
   std::uint32_t a = 0;
   std::uint32_t b = 0;
+  auto operator<=>(const Distance2Constraint&) const = default;
 };
 
 /// The face spanned by members must contain at least one other symbol.
 struct NonFaceConstraint {
   std::vector<std::uint32_t> members;
+  auto operator<=>(const NonFaceConstraint&) const = default;
 };
 
 /// Builds a Bitset over a universe of n symbols from an index list.
@@ -104,6 +114,28 @@ class ConstraintSet {
   bool has_output_constraints() const {
     return !dominances_.empty() || !disjunctives_.empty() || !extended_.empty();
   }
+  /// Distance-2 (§8.2) or non-face (§8.3) constraints: the ones only the
+  /// extension pipeline satisfies.
+  bool has_extension_constraints() const {
+    return !distance2s_.empty() || !nonfaces_.empty();
+  }
+
+  /// Calls `f` on every symbol-id field: the classes in the order above,
+  /// the constraints of a class in order, each one's fields in declaration
+  /// order. The mutable overload passes each id by reference.
+  template <class F>
+  void for_each_symbol(F&& f) const {
+    visit_symbols(*this, f);
+  }
+  template <class F>
+  void for_each_symbol(F&& f) {
+    visit_symbols(*this, f);
+  }
+
+  /// The constraints with every symbol id `s` replaced by `to_new[s]`, in
+  /// a set with an empty symbol table: the caller names the new ids, or
+  /// leaves them unnamed when only the structure matters.
+  ConstraintSet relabeled(const std::vector<std::uint32_t>& to_new) const;
 
   /// Convenience builders using symbol names (interned on first use).
   void add_face(const std::vector<std::string>& members,
@@ -133,6 +165,34 @@ class ConstraintSet {
 
  private:
   std::vector<std::uint32_t> intern_all(const std::vector<std::string>& names);
+
+  template <class Self, class F>
+  static void visit_symbols(Self& self, F& f) {
+    auto each = [&f](auto& ids) {
+      for (auto& id : ids) f(id);
+    };
+    for (auto& c : self.faces_) {
+      each(c.members);
+      each(c.dontcares);
+    }
+    for (auto& c : self.dominances_) {
+      f(c.dominator);
+      f(c.dominated);
+    }
+    for (auto& c : self.disjunctives_) {
+      f(c.parent);
+      each(c.children);
+    }
+    for (auto& c : self.extended_) {
+      f(c.parent);
+      for (auto& conj : c.conjunctions) each(conj);
+    }
+    for (auto& c : self.distance2s_) {
+      f(c.a);
+      f(c.b);
+    }
+    for (auto& c : self.nonfaces_) each(c.members);
+  }
 
   SymbolTable symbols_;
   std::vector<FaceConstraint> faces_;

@@ -35,7 +35,7 @@ SolveOutcome run_pipeline(const ConstraintSet& cs, const SolveOptions& opts,
   const bool extended =
       opts.pipeline == SolveOptions::Pipeline::kExtensions ||
       (opts.pipeline == SolveOptions::Pipeline::kAuto &&
-       (!cs.distance2s().empty() || !cs.nonfaces().empty()));
+       cs.has_extension_constraints());
   SolveOutcome r = extended ? encode_with_extensions(cs, opts.extensions, ctx)
                             : exact_encode(cs, opts.exact, ctx);
   std::string key;

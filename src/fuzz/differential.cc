@@ -194,7 +194,7 @@ FuzzCaseResult run_differential_case(const ConstraintSet& cs,
   }
   if (opts.metrics) opts.metrics->merge_from(ma);
 
-  const bool has_extensions = !cs.distance2s().empty() || !cs.nonfaces().empty();
+  const bool has_extensions = cs.has_extension_constraints();
   if (!a.truncated) {
     if (out.encoded) {
       const auto violations = verify_encoding(a.encoding, cs);

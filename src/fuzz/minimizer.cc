@@ -6,36 +6,6 @@ namespace encodesat {
 
 namespace {
 
-// Marks every symbol some constraint references.
-std::vector<bool> referenced_symbols(const ConstraintSet& cs) {
-  std::vector<bool> used(cs.num_symbols(), false);
-  auto mark = [&](const std::vector<std::uint32_t>& ids) {
-    for (std::uint32_t id : ids) used[id] = true;
-  };
-  for (const auto& f : cs.faces()) {
-    mark(f.members);
-    mark(f.dontcares);
-  }
-  for (const auto& d : cs.dominances()) {
-    used[d.dominator] = true;
-    used[d.dominated] = true;
-  }
-  for (const auto& d : cs.disjunctives()) {
-    used[d.parent] = true;
-    mark(d.children);
-  }
-  for (const auto& e : cs.extended_disjunctives()) {
-    used[e.parent] = true;
-    for (const auto& conj : e.conjunctions) mark(conj);
-  }
-  for (const auto& d : cs.distance2s()) {
-    used[d.a] = true;
-    used[d.b] = true;
-  }
-  for (const auto& nf : cs.nonfaces()) mark(nf.members);
-  return used;
-}
-
 // Tries each whole-constraint removal once; commits those that keep the
 // predicate true. Returns the number of constraints removed.
 int remove_constraints_pass(ConstraintSet& cs,
@@ -142,13 +112,21 @@ int shrink_elements_pass(ConstraintSet& cs, const DivergencePredicate& pred,
 
 // Tries removing symbols no constraint references, one at a time (removal
 // still changes verdicts — distinct-code pressure, face intrusion — so
-// each is re-validated).
+// each is re-validated). Removing a symbol renumbers only the symbols
+// after it, so the ids still to visit keep their references.
 int remove_symbols_pass(ConstraintSet& cs, const DivergencePredicate& pred,
                         int* probes) {
   int removed = 0;
+  std::vector<bool> referenced(cs.num_symbols(), false);
+  cs.for_each_symbol([&](std::uint32_t id) { referenced[id] = true; });
   for (std::uint32_t id = cs.num_symbols(); id-- > 0;) {
-    if (referenced_symbols(cs)[id]) continue;
-    ConstraintSet candidate = remove_unreferenced_symbol(cs, id);
+    if (referenced[id]) continue;
+    std::vector<std::uint32_t> to_new(cs.num_symbols());
+    for (std::uint32_t s = 0; s < to_new.size(); ++s)
+      to_new[s] = s > id ? s - 1 : s;
+    ConstraintSet candidate = cs.relabeled(to_new);
+    for (std::uint32_t s = 0; s < cs.num_symbols(); ++s)
+      if (s != id) candidate.symbols().intern(cs.symbols().name(s));
     ++*probes;
     if (pred(candidate)) {
       cs = std::move(candidate);
@@ -159,41 +137,6 @@ int remove_symbols_pass(ConstraintSet& cs, const DivergencePredicate& pred,
 }
 
 }  // namespace
-
-ConstraintSet remove_unreferenced_symbol(const ConstraintSet& cs,
-                                         std::uint32_t id) {
-  ConstraintSet out;
-  for (std::uint32_t s = 0; s < cs.num_symbols(); ++s)
-    if (s != id) out.symbols().intern(cs.symbols().name(s));
-  auto remap = [&](std::uint32_t s) { return s > id ? s - 1 : s; };
-  auto remap_all = [&](const std::vector<std::uint32_t>& ids) {
-    std::vector<std::uint32_t> v;
-    v.reserve(ids.size());
-    for (std::uint32_t s : ids) v.push_back(remap(s));
-    return v;
-  };
-  for (const auto& f : cs.faces())
-    out.faces().push_back(
-        FaceConstraint{remap_all(f.members), remap_all(f.dontcares)});
-  for (const auto& d : cs.dominances())
-    out.dominances().push_back(
-        DominanceConstraint{remap(d.dominator), remap(d.dominated)});
-  for (const auto& d : cs.disjunctives())
-    out.disjunctives().push_back(
-        DisjunctiveConstraint{remap(d.parent), remap_all(d.children)});
-  for (const auto& e : cs.extended_disjunctives()) {
-    ExtendedDisjunctiveConstraint x;
-    x.parent = remap(e.parent);
-    for (const auto& conj : e.conjunctions)
-      x.conjunctions.push_back(remap_all(conj));
-    out.extended_disjunctives().push_back(std::move(x));
-  }
-  for (const auto& d : cs.distance2s())
-    out.distance2s().push_back(Distance2Constraint{remap(d.a), remap(d.b)});
-  for (const auto& nf : cs.nonfaces())
-    out.nonfaces().push_back(NonFaceConstraint{remap_all(nf.members)});
-  return out;
-}
 
 MinimizeResult minimize_divergence(const ConstraintSet& cs,
                                    const DivergencePredicate& still_diverges) {

@@ -16,7 +16,6 @@
 // committed as a regression test via the reproducer format.
 #pragma once
 
-#include <cstdint>
 #include <functional>
 
 #include "fuzz/differential.h"
@@ -43,10 +42,5 @@ MinimizeResult minimize_divergence(const ConstraintSet& cs,
 /// one divergence of `rule`.
 DivergencePredicate rule_predicate(FuzzRule rule,
                                    const DifferentialOptions& opts);
-
-/// Drops symbol `id` from the table and remaps every constraint index.
-/// Precondition: no constraint references `id`.
-ConstraintSet remove_unreferenced_symbol(const ConstraintSet& cs,
-                                         std::uint32_t id);
 
 }  // namespace encodesat

@@ -1,6 +1,9 @@
 // Tests for the constraint IR, the text parser, and round-tripping.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "core/constraints.h"
 
 namespace encodesat {
@@ -108,6 +111,66 @@ TEST(Parse, SymbolsInternedInOrderOfMention) {
   EXPECT_EQ(cs.symbols().at("x"), 0u);
   EXPECT_EQ(cs.symbols().at("y"), 1u);
   EXPECT_EQ(cs.symbols().at("a"), 2u);
+}
+
+// Interning order a..h makes each symbol's id its letter's place.
+ConstraintSet every_field_set() {
+  return parse_constraints(
+      "face a b [c d]\n"
+      "dominance a e\n"
+      "disjunctive e b c\n"
+      "extdisjunctive f : a b | c e\n"
+      "distance2 g a\n"
+      "nonface b d g\n"
+      "symbol h\n");
+}
+
+TEST(ConstraintSetStructure, VisitsEverySymbolFieldInDeclarationOrder) {
+  const ConstraintSet cs = every_field_set();
+  std::vector<std::uint32_t> seen;
+  cs.for_each_symbol([&](std::uint32_t id) { seen.push_back(id); });
+  EXPECT_EQ(seen, (std::vector<std::uint32_t>{0, 1, 2, 3,     // face
+                                              0, 4,           // dominance
+                                              4, 1, 2,        // disjunctive
+                                              5, 0, 1, 2, 4,  // extdisjunctive
+                                              6, 0,           // distance2
+                                              1, 3, 6}));     // nonface
+}
+
+TEST(ConstraintSetStructure, RelabeledMapsEveryFieldAndCopiesNoNames) {
+  const ConstraintSet cs = every_field_set();
+  const std::vector<std::uint32_t> reverse = {7, 6, 5, 4, 3, 2, 1, 0};
+  ConstraintSet out = cs.relabeled(reverse);
+  EXPECT_EQ(out.num_symbols(), 0u);
+  std::vector<std::uint32_t> before, after;
+  cs.for_each_symbol([&](std::uint32_t id) { before.push_back(reverse[id]); });
+  out.for_each_symbol([&](std::uint32_t id) { after.push_back(id); });
+  EXPECT_EQ(after, before);
+  // Named in reverse, the relabeled set renders the same constraints.
+  for (std::uint32_t id = 8; id-- > 0;)
+    out.symbols().intern(cs.symbols().name(id));
+  EXPECT_EQ(out.to_string(), cs.to_string());
+}
+
+TEST(ConstraintSetStructure, ExtensionAndOutputClasses) {
+  EXPECT_FALSE(parse_constraints("face a b").has_extension_constraints());
+  EXPECT_FALSE(parse_constraints("dominance a b").has_extension_constraints());
+  EXPECT_TRUE(parse_constraints("distance2 a b").has_extension_constraints());
+  EXPECT_TRUE(parse_constraints("nonface a b").has_extension_constraints());
+  EXPECT_FALSE(parse_constraints("nonface a b").has_output_constraints());
+}
+
+TEST(ConstraintSetStructure, ConstraintsCompareFieldByField) {
+  EXPECT_LT((FaceConstraint{{0, 1}, {3}}), (FaceConstraint{{0, 2}, {}}));
+  EXPECT_LT((FaceConstraint{{0, 1}, {}}), (FaceConstraint{{0, 1}, {2}}));
+  EXPECT_LT((DominanceConstraint{1, 5}), (DominanceConstraint{2, 0}));
+  EXPECT_LT((DisjunctiveConstraint{1, {4, 5}}),
+            (DisjunctiveConstraint{2, {0, 1}}));
+  EXPECT_LT((ExtendedDisjunctiveConstraint{0, {{1, 2}, {3}}}),
+            (ExtendedDisjunctiveConstraint{0, {{1, 3}}}));
+  EXPECT_LT((Distance2Constraint{0, 7}), (Distance2Constraint{1, 2}));
+  EXPECT_LT((NonFaceConstraint{{0, 1, 2}}), (NonFaceConstraint{{0, 2}}));
+  EXPECT_EQ((Distance2Constraint{3, 4}), (Distance2Constraint{3, 4}));
 }
 
 TEST(Symbols, InternAndLookup) {
