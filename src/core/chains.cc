@@ -43,7 +43,7 @@ struct Search {
   std::vector<bool> assigned;
   std::vector<bool> used;
 
-  bool face_prune_ok(std::uint32_t /*just_assigned*/) const {
+  bool face_prune_ok() const {
     // Prune on every face constraint whose members are all assigned: the
     // span is then fixed, and an assigned outsider (not a don't-care)
     // inside it can never be moved out again.
@@ -97,13 +97,7 @@ struct Search {
         used[code] = true;
         assigned[g.symbols[i]] = true;
       }
-      ok = true;
-      for (auto s : g.symbols)
-        if (!face_prune_ok(s)) {
-          ok = false;
-          break;
-        }
-      if (ok) solve(gi + 1);
+      if (face_prune_ok()) solve(gi + 1);
       if (!found) {
         for (std::size_t i = 0; i < g.symbols.size(); ++i) {
           const std::uint64_t code = (base + i) & mask;
