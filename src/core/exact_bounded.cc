@@ -143,8 +143,9 @@ ExactBoundedResult exact_bounded_encode(const ConstraintSet& cs, int bits,
 
   res.nodes_explored = search.nodes;
   if (!search.found) {
-    res.status = search.budget_exhausted ? ExactBoundedResult::Status::kBudget
-                                         : ExactBoundedResult::Status::kTooLarge;
+    res.status = search.budget_exhausted
+                     ? ExactBoundedResult::Status::kBudget
+                     : ExactBoundedResult::Status::kInfeasible;
     return res;
   }
   res.status = ExactBoundedResult::Status::kSolved;

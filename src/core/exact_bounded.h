@@ -22,7 +22,11 @@ struct ExactBoundedOptions {
 };
 
 struct ExactBoundedResult {
-  enum class Status { kSolved, kBudget, kTooLarge };
+  /// kSolved: `encoding` is the best assignment found. kBudget: the node
+  /// budget ran out before any assignment met the output constraints.
+  /// kTooLarge: `bits` is outside 1..16. kInfeasible: the search finished
+  /// and no injective `bits`-bit assignment meets the output constraints.
+  enum class Status { kSolved, kBudget, kTooLarge, kInfeasible };
   Status status = Status::kTooLarge;
   Encoding encoding;
   /// Number of violated face constraints of `encoding`.

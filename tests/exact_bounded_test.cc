@@ -35,6 +35,22 @@ TEST(ExactBounded, Section7ThreeBitOptimum) {
   EXPECT_LE(res.violated_faces, 3);  // the paper's sample encoding hits 3
 }
 
+// Mutual dominance forces a and b onto one code, so no injective 2-bit
+// assignment meets the output constraints. 2 bits is a supported width,
+// so the exhausted search reports the width infeasible, not too large.
+TEST(ExactBounded, ExhaustedSearchReportsInfeasibleWidth) {
+  const ConstraintSet cs =
+      parse_constraints("dominance a b\ndominance b a\nsymbol c");
+  const auto res = exact_bounded_encode(cs, 2);
+  EXPECT_EQ(res.status, ExactBoundedResult::Status::kInfeasible);
+  EXPECT_EQ(res.nodes_explored, 5u);
+  EXPECT_FALSE(res.optimal);
+  for (int bits : {0, 17})
+    EXPECT_EQ(exact_bounded_encode(cs, bits).status,
+              ExactBoundedResult::Status::kTooLarge)
+        << bits;
+}
+
 TEST(ExactBounded, RespectsOutputConstraints) {
   const ConstraintSet cs = parse_constraints(R"(
     face a b
