@@ -35,11 +35,8 @@ std::vector<Dichotomy> valid_initial(const ConstraintSet& cs) {
 std::vector<Dichotomy> raised_set(const ConstraintSet& cs) {
   std::vector<Dichotomy> out;
   for (const auto& i : generate_initial_dichotomies(cs)) {
-    if (!dichotomy_valid(i.dichotomy, cs)) continue;
     Dichotomy r = i.dichotomy;
-    if (!raise_dichotomy(r, cs)) continue;
-    if (!dichotomy_valid(r, cs)) continue;
-    out.push_back(std::move(r));
+    if (raise_and_validate(r, cs)) out.push_back(std::move(r));
   }
   dedupe_dichotomies(out);
   return out;

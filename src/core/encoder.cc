@@ -34,12 +34,9 @@ std::vector<Dichotomy> valid_raised_set(
   std::vector<std::optional<Dichotomy>> slots(initial.size());
   parallel_for(initial.size(), threads_for(ctx, initial.size()),
                [&](std::size_t i) {
-                 const Dichotomy& d = initial[i].dichotomy;
-                 if (!dichotomy_valid(d, cs)) return;
-                 Dichotomy raised = d;
-                 if (!raise_dichotomy(raised, cs)) return;
-                 if (!dichotomy_valid(raised, cs)) return;
-                 slots[i] = std::move(raised);
+                 Dichotomy raised = initial[i].dichotomy;
+                 if (raise_and_validate(raised, cs))
+                   slots[i] = std::move(raised);
                });
   std::vector<Dichotomy> d;
   d.reserve(initial.size());
@@ -144,10 +141,7 @@ SolveOutcome exact_encode(const ConstraintSet& cs,
     parallel_for(pg.primes.size(), threads_for(ctx, pg.primes.size()),
                  [&](std::size_t i) {
                    Dichotomy& p = pg.primes[i];
-                   if (!dichotomy_valid(p, cs)) return;
-                   if (!raise_dichotomy(p, cs)) return;
-                   if (!dichotomy_valid(p, cs)) return;
-                   slots[i] = std::move(p);
+                   if (raise_and_validate(p, cs)) slots[i] = std::move(p);
                  });
     candidates.reserve(pg.primes.size() + d.size());
     for (auto& s : slots)

@@ -149,13 +149,8 @@ SolveOutcome encode_with_extensions(const ConstraintSet& cs,
   }
 
   std::vector<Dichotomy> d;
-  for (const auto& s : seeds) {
-    if (!dichotomy_valid(s, cs)) continue;
-    Dichotomy raised = s;
-    if (!raise_dichotomy(raised, cs)) continue;
-    if (!dichotomy_valid(raised, cs)) continue;
-    d.push_back(std::move(raised));
-  }
+  for (Dichotomy& s : seeds)
+    if (raise_and_validate(s, cs)) d.push_back(std::move(s));
   dedupe_dichotomies(d);
 
   std::vector<Dichotomy> candidates = d;
@@ -168,12 +163,8 @@ SolveOutcome encode_with_extensions(const ConstraintSet& cs,
       stage.set_truncation(pg.truncation);
       return res;
     }
-    for (Dichotomy& p : pg.primes) {
-      if (!dichotomy_valid(p, cs)) continue;
-      if (!raise_dichotomy(p, cs)) continue;
-      if (!dichotomy_valid(p, cs)) continue;
-      candidates.push_back(std::move(p));
-    }
+    for (Dichotomy& p : pg.primes)
+      if (raise_and_validate(p, cs)) candidates.push_back(std::move(p));
     dedupe_dichotomies(candidates);
   }
 

@@ -149,4 +149,9 @@ bool raise_dichotomy(Dichotomy& d, const ConstraintSet& cs) {
   return true;
 }
 
+bool raise_and_validate(Dichotomy& d, const ConstraintSet& cs) {
+  return dichotomy_valid(d, cs) && raise_dichotomy(d, cs) &&
+         dichotomy_valid(d, cs);
+}
+
 }  // namespace encodesat

@@ -35,4 +35,9 @@ void remove_invalid_dichotomies(std::vector<Dichotomy>& ds,
 /// be discarded.
 bool raise_dichotomy(Dichotomy& d, const ConstraintSet& cs);
 
+/// Theorem 6.1's filter on one dichotomy: it must be valid, raise maximally
+/// without contradiction, and still be valid once raised. Raises d in place
+/// and returns whether it survives; when false, d should be discarded.
+bool raise_and_validate(Dichotomy& d, const ConstraintSet& cs);
+
 }  // namespace encodesat

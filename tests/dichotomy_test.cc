@@ -154,6 +154,24 @@ TEST(OutputRules, RaiseDetectsContradiction) {
   EXPECT_FALSE(raise_dichotomy(x, cs));
 }
 
+TEST(OutputRules, RaiseAndValidateKeepsOnlySurvivors) {
+  ConstraintSet cs;
+  for (const char* s : {"a", "b", "c"}) cs.symbols().intern(s);
+  cs.add_dominance("a", "b");
+  cs.add_dominance("b", "c");
+  // Invalid before raising (b at 0, c at 1): refused and left as it was.
+  Dichotomy invalid = d(3, {1}, {2});
+  EXPECT_FALSE(raise_and_validate(invalid, cs));
+  EXPECT_EQ(invalid, d(3, {1}, {2}));
+  // Valid, but raising a at 0 pulls c to 0 against its 1.
+  Dichotomy contradiction = d(3, {0}, {2});
+  EXPECT_FALSE(raise_and_validate(contradiction, cs));
+  // c at 1 pulls b and then a to 1, and the raised dichotomy is valid.
+  Dichotomy kept = d(3, {}, {2});
+  EXPECT_TRUE(raise_and_validate(kept, cs));
+  EXPECT_EQ(kept, d(3, {}, {0, 1, 2}));
+}
+
 TEST(OutputRules, RaiseExtendedDisjunctive) {
   ConstraintSet cs;
   for (const char* s : {"a", "b", "c", "d", "e"}) cs.symbols().intern(s);
