@@ -1,8 +1,8 @@
 #include "cache/solve_cache.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <utility>
@@ -25,11 +25,28 @@ void append_list_line(std::string& out, const char* field,
   out += '\n';
 }
 
+// Reads the rest of the line as numbers, each a plain decimal token: digits
+// only, no sign, no overflow (`>>` into an unsigned type would take "-1").
 template <typename T>
 bool parse_list(std::istringstream& in, std::vector<T>* out) {
-  unsigned long long v = 0;
-  while (in >> v) out->push_back(static_cast<T>(v));
-  return in.eof();
+  std::string tok;
+  while (in >> tok) {
+    T v = 0;
+    const char* end = tok.data() + tok.size();
+    const auto [ptr, ec] = std::from_chars(tok.data(), end, v);
+    if (ec != std::errc() || ptr != end) return false;
+    out->push_back(v);
+  }
+  return true;
+}
+
+// One number on the rest of the line, at most `max`.
+bool parse_one(std::istringstream& in, std::uint64_t max, std::uint64_t* v) {
+  std::vector<std::uint64_t> values;
+  if (!parse_list(in, &values) || values.size() != 1 || values[0] > max)
+    return false;
+  *v = values[0];
+  return true;
 }
 
 }  // namespace
@@ -153,6 +170,7 @@ bool SolveCache::from_text(const std::string& text, std::string* error) {
       return fail(line_no, "expected 'entry <key>'");
 
     SolveOutcome v;
+    int codes_line = 0;
     bool saw_end = false;
     while (std::getline(in, line)) {
       ++line_no;
@@ -167,15 +185,16 @@ bool SolveCache::from_text(const std::string& text, std::string* error) {
         if (!(fs >> tok) || !solve_status_from_name(tok.c_str(), &v.status))
           return fail(line_no, "bad status");
       } else if (field == "bits") {
-        if (!(fs >> v.encoding.bits) || v.encoding.bits < 0)
-          return fail(line_no, "bad bits");
+        std::uint64_t bits = 0;
+        if (!parse_one(fs, 64, &bits)) return fail(line_no, "bad bits");
+        v.encoding.bits = static_cast<int>(bits);
       } else if (field == "codes") {
         if (!parse_list(fs, &v.encoding.codes))
           return fail(line_no, "bad codes");
+        codes_line = line_no;
       } else if (field == "minimal") {
-        int b = 0;
-        if (!(fs >> b) || (b != 0 && b != 1))
-          return fail(line_no, "bad minimal");
+        std::uint64_t b = 0;
+        if (!parse_one(fs, 1, &b)) return fail(line_no, "bad minimal");
         v.minimal = b == 1;
       } else if (field == "truncation") {
         std::string tok;
@@ -185,9 +204,9 @@ bool SolveCache::from_text(const std::string& text, std::string* error) {
         if (!parse_list(fs, &v.uncovered))
           return fail(line_no, "bad uncovered");
       } else if (field == "counters") {
-        unsigned long long c[7];
-        for (int i = 0; i < 7; ++i)
-          if (!(fs >> c[i])) return fail(line_no, "bad counters");
+        std::vector<std::uint64_t> c;
+        if (!parse_list(fs, &c) || c.size() != 7)
+          return fail(line_no, "bad counters");
         v.num_initial = c[0];
         v.num_raised = c[1];
         v.num_primes = c[2];
@@ -196,14 +215,25 @@ bool SolveCache::from_text(const std::string& text, std::string* error) {
         v.num_aux_columns = c[5];
         v.nodes_explored = c[6];
       } else if (field == "fingerprint") {
-        std::string hex;
-        if (!(fs >> hex)) return fail(line_no, "bad fingerprint");
-        v.stats_fingerprint = std::strtoull(hex.c_str(), nullptr, 16);
+        // Exactly 16 hex digits, as to_text() writes them.
+        std::string hex, extra;
+        if (!(fs >> hex) || fs >> extra || hex.size() != 16 ||
+            std::from_chars(hex.data(), hex.data() + 16, v.stats_fingerprint,
+                            16)
+                    .ptr != hex.data() + 16)
+          return fail(line_no, "bad fingerprint");
       } else {
         return fail(line_no, "unknown field '" + field + "'");
       }
     }
     if (!saw_end) return fail(line_no, "entry without 'end'");
+    if (v.encoding.bits < 64)
+      for (const std::uint64_t code : v.encoding.codes)
+        if (code >> v.encoding.bits)
+          return fail(codes_line, "code " + std::to_string(code) +
+                                      " does not fit in " +
+                                      std::to_string(v.encoding.bits) +
+                                      " bits");
     insert(key, std::move(v));
   }
   return true;

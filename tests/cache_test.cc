@@ -291,6 +291,46 @@ TEST(SolveCachePersist, RejectsMalformedInput) {
   EXPECT_FALSE(err.empty());
   EXPECT_FALSE(
       cache.from_text("encodesat-cache-v1\nentry k\nbogus 1\nend\n", &err));
+
+  // Every number is a plain unsigned decimal token, `bits` is at most 64,
+  // codes fit in `bits` bits and the fingerprint is 16 hex digits; each
+  // rejection names its line.
+  const std::string valid =
+      "encodesat-cache-v1\n"
+      "entry k\n"
+      "status encoded\n"
+      "bits 2\n"
+      "codes 1 0 2 3\n"
+      "minimal 1\n"
+      "truncation none\n"
+      "uncovered 4\n"
+      "counters 8 5 4 4 0 0 3\n"
+      "fingerprint d7e37b96bda470b4\n"
+      "end\n";
+  ASSERT_TRUE(SolveCache().from_text(valid, &err)) << err;
+  const struct {
+    std::string from, to;
+    int line;
+  } bad[] = {
+      {"codes 1 0 2 3", "codes -1 0 2 3", 5},
+      {"codes 1 0 2 3", "codes 1 0 2 18446744073709551616", 5},
+      {"codes 1 0 2 3", "codes 1 0 2 4", 5},
+      {"bits 2", "bits 99", 4},
+      {"bits 2", "bits +2", 4},
+      {"minimal 1", "minimal +1", 6},
+      {"uncovered 4", "uncovered -4", 8},
+      {"counters 8 5 4 4 0 0 3", "counters 8 5 4 4 0 0 -3", 9},
+      {"fingerprint d7e37b96bda470b4", "fingerprint -1", 10},
+      {"fingerprint d7e37b96bda470b4", "fingerprint 0xd7e37b96bda470", 10},
+  };
+  for (const auto& b : bad) {
+    std::string text = valid;
+    text.replace(text.find(b.from), b.from.size(), b.to);
+    err.clear();
+    EXPECT_FALSE(SolveCache().from_text(text, &err)) << b.to;
+    EXPECT_EQ(err.rfind("line " + std::to_string(b.line) + ": ", 0), 0u)
+        << b.to << " -> " << err;
+  }
 }
 
 // Pins the encodesat-cache-v1 bytes: status, codes, minimal, truncation,
