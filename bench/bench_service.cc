@@ -281,7 +281,6 @@ CaseResult run_churn(int reps, bool tcp) {
     cfg.broker.max_queue = 0;
     cfg.broker.cache = &cache;
     cfg.broker.metrics = &metrics;
-    cfg.metrics = &metrics;
     Server server(cfg);
     std::thread serving([&] {
       const int rc = tcp ? server.run_tcp("127.0.0.1:0")

@@ -687,9 +687,6 @@ int cmd_serve(int argc, char** argv) {
   scfg.broker.tracer = tracer.get();
   scfg.broker.window = &window;
   scfg.broker.reqlog = reqlog.get();
-  scfg.metrics = &metrics;
-  scfg.tracer = tracer.get();
-  scfg.window = &window;
   scfg.max_conns = max_conns;
   scfg.idle_timeout_ms = static_cast<int>(idle_timeout_s * 1000);
   scfg.max_line_bytes =

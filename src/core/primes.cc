@@ -358,7 +358,7 @@ PrimeGenResult generate_prime_dichotomies(const std::vector<Dichotomy>& ds,
   const std::uint64_t work_before = ctx.budget ? ctx.budget->work_used() : 0;
   std::vector<Bitset> sop =
       two_cnf_to_minimal_sop(incompat, opts.max_terms, &truncated,
-                             opts.max_work, stage.ctx(), &reason,
+                             kPrimeMaxWork, stage.ctx(), &reason,
                              &result.fold);
   if (ctx.budget) stage.add_work(ctx.budget->work_used() - work_before);
   // Fold counters are deterministic: the fold is a sequential stage, so the

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "core/dichotomy.h"
@@ -21,14 +22,16 @@
 
 namespace encodesat {
 
+/// Work budget of one prime generation in bitset word operations (upper
+/// bound) across all folds; an SOP that hovers just below max_terms for
+/// thousands of folds is as hopeless as one that exceeds it, and this bound
+/// catches that deterministically.
+inline constexpr std::uint64_t kPrimeMaxWork = 500'000'000'000;
+
 struct PrimeGenOptions {
   /// Abort when the intermediate SOP exceeds this many terms (the paper's
   /// Table 1 cuts off at 50000 primes for `planet` and `vmecont`).
   std::size_t max_terms = 200000;
-  /// Work budget in bitset word operations (upper bound) across all folds; an SOP
-  /// that hovers just below max_terms for thousands of folds is as hopeless
-  /// as one that exceeds it, and this bound catches that deterministically.
-  std::uint64_t max_work = 500'000'000'000;
 };
 
 /// Metrics of one cs/ps fold run, surfaced for the benchmark regression
@@ -55,9 +58,9 @@ struct PrimeGenResult {
   /// Maximal-compatible unions, deduplicated; empty if truncated.
   std::vector<Dichotomy> primes;
   /// Uniform truncation shape (see docs/API.md): `truncated` mirrors
-  /// `truncation != Truncation::kNone`. Term/work limits of PrimeGenOptions
-  /// report kTermLimit/kWorkBudget; a shared Budget adds deadline and
-  /// cancellation reasons.
+  /// `truncation != Truncation::kNone`. PrimeGenOptions' term limit and
+  /// kPrimeMaxWork report kTermLimit/kWorkBudget; a shared Budget adds
+  /// deadline and cancellation reasons.
   bool truncated = false;
   Truncation truncation = Truncation::kNone;
   /// Number of terms in the final SOP (= number of maximal compatibles).

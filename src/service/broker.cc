@@ -4,6 +4,7 @@
 
 #include "obs/counters.h"
 #include "obs/reqlog.h"
+#include "obs/trace.h"
 #include "obs/window.h"
 
 namespace encodesat {

@@ -62,6 +62,7 @@ namespace encodesat {
 
 class RequestLog;   // obs/reqlog.h
 class RollingWindow;  // obs/window.h
+class Tracer;       // obs/trace.h
 
 enum class DrainMode {
   kFinishQueued,  ///< stop admission, run everything already queued (EOF)
@@ -82,10 +83,13 @@ struct BrokerConfig {
   SolveOptions base_options;
   /// Shared solve cache; null runs uncached (coalescing still applies).
   SolveCache* cache = nullptr;
+  /// Counter registry and span sink for every solve; a Server also renders
+  /// them in its `stats`/`metrics` ops. Both optional and borrowed.
   MetricsRegistry* metrics = nullptr;
-  TraceSink* tracer = nullptr;
-  /// Rolling end-to-end latency window (microseconds, broker clock);
-  /// null disables. Borrowed, must outlive the broker.
+  Tracer* tracer = nullptr;
+  /// Rolling end-to-end latency window (microseconds, broker clock), also
+  /// scraped by a Server for its 1m/5m gauges; null disables. Borrowed,
+  /// must outlive the broker.
   RollingWindow* window = nullptr;
   /// Structured per-request NDJSON log; null disables. Borrowed.
   RequestLog* reqlog = nullptr;

@@ -197,9 +197,9 @@ Server::Server(ServerConfig cfg)
     : cfg_(std::move(cfg)), broker_(cfg_.broker) {
   if (cfg_.max_line_bytes < 1) cfg_.max_line_bytes = 1;
   if (cfg_.backlog < 1) cfg_.backlog = 1;
-  if (cfg_.metrics)
+  if (cfg_.broker.metrics)
     for (const char* name : kConnCounters)
-      cfg_.metrics->counter(name, /*in_fingerprint=*/false);
+      cfg_.broker.metrics->counter(name, /*in_fingerprint=*/false);
   if (::pipe(signal_pipe_) != 0) {
     signal_pipe_[0] = signal_pipe_[1] = -1;
     return;
@@ -224,7 +224,7 @@ void Server::request_drain() {
 }
 
 void Server::count_conn(const char* name) {
-  if (cfg_.metrics) cfg_.metrics->counter(name, false)->add(1);
+  if (cfg_.broker.metrics) cfg_.broker.metrics->counter(name, false)->add(1);
 }
 
 void Server::handle_line(const std::shared_ptr<Session>& session,
@@ -242,13 +242,14 @@ void Server::handle_line(const std::shared_ptr<Session>& session,
     // Both scrape ops share one view: the registry, the live broker gauges
     // (so `stats` and `metrics` agree), and a freshened obs.trace.dropped
     // high-water mark.
-    if (cfg_.metrics && cfg_.tracer)
-      cfg_.metrics->counter("obs.trace.dropped", /*in_fingerprint=*/false)
-          ->record_max(cfg_.tracer->dropped_spans());
+    if (cfg_.broker.metrics && cfg_.broker.tracer)
+      cfg_.broker.metrics
+          ->counter("obs.trace.dropped", /*in_fingerprint=*/false)
+          ->record_max(cfg_.broker.tracer->dropped_spans());
     TelemetryOptions topts;
     topts.tool = "serve";
-    topts.metrics = cfg_.metrics;
-    topts.tracer = cfg_.tracer;
+    topts.metrics = cfg_.broker.metrics;
+    topts.tracer = cfg_.broker.tracer;
     topts.gauges.push_back(
         {"service.queue_depth", static_cast<double>(broker_.queue_depth())});
     topts.gauges.push_back(
@@ -257,7 +258,7 @@ void Server::handle_line(const std::shared_ptr<Session>& session,
                             static_cast<double>(broker_.workers_alive())});
     topts.gauges.push_back(
         {"service.connections", static_cast<double>(live_connections())});
-    if (cfg_.window) {
+    if (cfg_.broker.window) {
       const std::uint64_t now = broker_.now_us();
       const struct {
         const char* prefix;
@@ -266,7 +267,7 @@ void Server::handle_line(const std::shared_ptr<Session>& session,
                    {"service.window.5m", 300'000'000ull}};
       for (const auto& span : spans) {
         const RollingWindow::Stats s =
-            cfg_.window->stats(now, span.horizon_us);
+            cfg_.broker.window->stats(now, span.horizon_us);
         const std::string p = span.prefix;
         topts.gauges.push_back({p + ".rate", s.rate_per_s});
         topts.gauges.push_back({p + ".p50", static_cast<double>(s.p50)});

@@ -74,18 +74,10 @@
 
 namespace encodesat {
 
-class Tracer;
-
 struct ServerConfig {
+  /// The `stats` and `metrics` ops render the broker's registry, tracer and
+  /// rolling window; a null window omits the 1m/5m gauges.
   BrokerConfig broker;
-  /// Used by the `stats` and `metrics` ops to render telemetry (typically
-  /// the same registry/tracer installed on `broker`). Both optional.
-  MetricsRegistry* metrics = nullptr;
-  const Tracer* tracer = nullptr;
-  /// Rolling latency window scraped by the `stats`/`metrics` ops for the
-  /// 1m/5m rate and percentile gauges (typically the same window installed
-  /// on `broker`); null omits those gauges. Borrowed.
-  const RollingWindow* window = nullptr;
   /// Stall budget per response write: a client whose output fd makes no
   /// progress for this long is treated as gone — the session goes dead
   /// and its remaining output is discarded, instead of a stuck write
