@@ -24,6 +24,10 @@
 
 namespace encodesat {
 
+/// Most binary inputs of a one-output domain whose point sets ESPRESSO
+/// holds in one 64-bit word: 2^6 minterms.
+inline constexpr int kWordOracleMaxInputs = 6;
+
 struct EspressoOptions {
   /// Skip the REDUCE refinement loop: single EXPAND + IRREDUNDANT pass
   /// (faster, slightly larger covers) — used by inner-loop cost evaluation.

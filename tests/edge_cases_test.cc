@@ -2,7 +2,6 @@
 #include <gtest/gtest.h>
 
 #include "core/binate_table.h"
-#include "core/cost.h"
 #include "core/encoder.h"
 #include "core/extensions.h"
 #include "core/primes.h"
@@ -119,41 +118,6 @@ TEST(BinateTable, OutputOnlyProblem) {
   ASSERT_TRUE(res.encoded());
   const auto v = verify_encoding(res.encoding, cs);
   EXPECT_TRUE(v.empty());
-}
-
-// Unused code points are don't-cares of the Fig. 9 constraint function at
-// every code length (the DC cover every face evaluation shares).
-TEST(MultiOutputConstraintFunction, UnusedCodesAreDontCaresAtAnyLength) {
-  for (const int bits : {12, 13, 20, 21}) {
-    SCOPED_TRACE(bits);
-    Encoding enc;
-    enc.bits = bits;
-    enc.codes = {0, 1, 2};
-    const Cover dc = unused_code_dontcares(enc);
-    const Domain& dom = dc.domain();
-    ASSERT_EQ(dom.num_inputs(), bits);
-    auto point = [&](std::uint64_t code) {
-      Cube c(dom);
-      for (int v = 0; v < bits; ++v)
-        c.bits.set(static_cast<std::size_t>(
-            dom.pos(v, static_cast<int>((code >> v) & 1u))));
-      c.bits.set(static_cast<std::size_t>(dom.out_pos(0)));
-      return c;
-    };
-    auto dc_contains = [&](std::uint64_t code) {
-      for (const Cube& c : dc)
-        if (cube_contains(c, point(code))) return true;
-      return false;
-    };
-    auto dc_meets = [&](std::uint64_t code) {
-      for (const Cube& c : dc)
-        if (cubes_intersect(dom, c, point(code))) return true;
-      return false;
-    };
-    EXPECT_TRUE(dc_contains(3));
-    EXPECT_TRUE(dc_contains((std::uint64_t{1} << bits) - 1));
-    for (const std::uint64_t used : enc.codes) EXPECT_FALSE(dc_meets(used));
-  }
 }
 
 TEST(Espresso, StatsPopulated) {
