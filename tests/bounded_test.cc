@@ -25,6 +25,8 @@ TEST(Bounded, RejectsTooShortCodes) {
   EXPECT_THROW(bounded_encode(cs, 2), std::invalid_argument);
 }
 
+// Under every cost kind, from the minimum length to 7 bits: both sides of
+// the six-bit face-cost table.
 TEST(Bounded, CodesAreAlwaysUnique) {
   Rng rng(5);
   for (int trial = 0; trial < 10; ++trial) {
@@ -39,12 +41,20 @@ TEST(Bounded, CodesAreAlwaysUnique) {
       if (members.size() >= 2 && members.size() < n)
         cs.add_face_ids(std::move(members));
     }
-    BoundedEncodeOptions opts;
-    opts.cost = CostKind::kViolatedFaces;
-    const auto res = bounded_encode(cs, minimum_code_length(n), opts);
-    const auto violations = verify_encoding(res.encoding, cs);
-    for (const auto& v : violations)
-      EXPECT_NE(v.kind, Violation::Kind::kDuplicateCode) << v.detail;
+    for (const CostKind kind : {CostKind::kViolatedFaces, CostKind::kCubes,
+                                CostKind::kLiterals}) {
+      for (int bits = minimum_code_length(n); bits <= 7; ++bits) {
+        SCOPED_TRACE("trial " + std::to_string(trial) + " kind " +
+                     std::to_string(static_cast<int>(kind)) + " bits " +
+                     std::to_string(bits));
+        BoundedEncodeOptions opts;
+        opts.cost = kind;
+        const auto res = bounded_encode(cs, bits, opts);
+        const auto violations = verify_encoding(res.encoding, cs);
+        for (const auto& v : violations)
+          EXPECT_NE(v.kind, Violation::Kind::kDuplicateCode) << v.detail;
+      }
+    }
   }
 }
 
