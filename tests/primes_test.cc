@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <set>
+#include <stdexcept>
+#include <string>
 
 #include "baseline/consensus_primes.h"
 #include "core/primes.h"
@@ -84,6 +86,39 @@ TEST(TwoCnfSop, TruncatesAtLimit) {
   const auto sop = two_cnf_to_minimal_sop(inc, 100, &truncated);
   EXPECT_TRUE(truncated);
   EXPECT_TRUE(sop.empty());
+}
+
+// Every malformed matrix is refused with a message that names the row;
+// the fold used to read past a row of the wrong size and to return a
+// non-minimal SOP for a diagonal bit.
+TEST(TwoCnfSop, RejectsMalformedAdjacency) {
+  auto message = [](const std::vector<Bitset>& inc) -> std::string {
+    bool truncated = false;
+    try {
+      two_cnf_to_minimal_sop(inc, 100, &truncated);
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "no throw";
+  };
+  // A 200-bit row on m = 2 naming vertex 150.
+  std::vector<Bitset> wide(2, Bitset(2));
+  wide[0] = Bitset(200);
+  wide[0].set(150);
+  EXPECT_EQ(message(wide),
+            "two_cnf_to_minimal_sop: row 0 has 200 bits, not 2");
+  // (x0+x0)(x0+x1): a loop on x0.
+  std::vector<Bitset> loop(2, Bitset(2));
+  loop[0].set(0);
+  loop[0].set(1);
+  loop[1].set(0);
+  EXPECT_EQ(message(loop), "two_cnf_to_minimal_sop: row 0 sets its own bit");
+  // An edge only row 1 knows about.
+  std::vector<Bitset> one_sided(3, Bitset(3));
+  one_sided[1].set(2);
+  EXPECT_EQ(message(one_sided),
+            "two_cnf_to_minimal_sop: row 1 sets bit 2 but row 2 does not "
+            "set bit 1");
 }
 
 TEST(Primes, SingleDichotomyIsItsOwnPrime) {
