@@ -9,10 +9,10 @@
 // Schema (encodesat-bench-primes-v2): one record per case with the minimum
 // wall time over N repetitions plus the deterministic fold metrics (work
 // units, peak arena bytes, term count) that must not drift silently. v2
-// adds a per-case "counters" object (arena allocs/reuses, signature-prune
-// hits) so compare_bench.py can flag *work* regressions — e.g. the free
-// list no longer being hit, or the subset-prune losing effectiveness —
-// independent of wall-clock noise.
+// adds a per-case "counters" object (arena allocs/reuses, and the solve
+// cache's hits/misses) so compare_bench.py can flag *work* regressions —
+// e.g. the free list no longer being hit — independent of wall-clock
+// noise.
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -43,7 +43,6 @@ struct CaseResult {
   // Deterministic work counters (the v2 "counters" object).
   std::uint64_t arena_allocs = 0;
   std::uint64_t arena_reuses = 0;
-  std::uint64_t prune_sig_hits = 0;
   // Solve-cache counters (the solve_cache_* cases; zero elsewhere). The
   // hit pattern is deterministic, so compare_bench.py pins it too.
   std::uint64_t cache_hits = 0;
@@ -55,7 +54,6 @@ struct CaseResult {
     folds = fold.folds;
     arena_allocs = fold.arena_allocs;
     arena_reuses = fold.arena_reuses;
-    prune_sig_hits = fold.prune_sig_hits;
   }
 };
 
@@ -220,7 +218,7 @@ void write_json(std::FILE* f, const std::vector<CaseResult>& cases) {
                  "\"work_units\": %llu, \"peak_arena_bytes\": %zu, "
                  "\"num_terms\": %zu, \"folds\": %zu, \"truncated\": %s, "
                  "\"counters\": {\"arena_allocs\": %llu, "
-                 "\"arena_reuses\": %llu, \"prune_sig_hits\": %llu, "
+                 "\"arena_reuses\": %llu, "
                  "\"cache_hits\": %llu, \"cache_misses\": %llu}}%s\n",
                  c.name.c_str(), c.wall_seconds,
                  static_cast<unsigned long long>(c.work_units),
@@ -228,7 +226,6 @@ void write_json(std::FILE* f, const std::vector<CaseResult>& cases) {
                  c.truncated ? "true" : "false",
                  static_cast<unsigned long long>(c.arena_allocs),
                  static_cast<unsigned long long>(c.arena_reuses),
-                 static_cast<unsigned long long>(c.prune_sig_hits),
                  static_cast<unsigned long long>(c.cache_hits),
                  static_cast<unsigned long long>(c.cache_misses),
                  i + 1 < cases.size() ? "," : "");

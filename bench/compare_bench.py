@@ -12,14 +12,13 @@ Usage:
 Checks, per case name present in BOTH files:
 
   * determinism guard — `work_units`, `folds`, `num_terms`, `truncated`
-    and the v2 `counters` object (arena allocs/reuses, signature-prune
-    hits, and — for the solve_cache_* repeat-workload cases — the solve
-    cache's `cache_hits`/`cache_misses`) must match the baseline exactly.
+    and the v2 `counters` object (arena allocs/reuses and — for the
+    solve_cache_* repeat-workload cases — the solve cache's
+    `cache_hits`/`cache_misses`) must match the baseline exactly.
     These are pure functions of the algorithm (no wall-clock dependence),
     so any drift means the fold changed behaviour — did more work,
-    stopped reusing the free list, lost prune effectiveness, stopped
-    recognising renamed duplicates — not just speed.  This is a hard
-    failure regardless of timing.
+    allocated more terms, stopped recognising renamed duplicates — not
+    just speed.  This is a hard failure regardless of timing.
   * histogram guard — the optional per-case `histograms` object
     (bench_service v2: the `solve.work` bucket profile of the warm
     workload) must match bucket for bucket: a count that moves to a

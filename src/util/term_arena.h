@@ -11,12 +11,11 @@
 //  * set operations are straight word loops over adjacent memory;
 //  * a term is named by a TermRef (32-bit index), cheap to copy and store.
 //
-// The arena also provides the folded 64-bit *signature* used by the
-// signature-pruned single-cube-containment pass (keep_minimal_terms of
-// core/primes.cc): sig(t) = OR of all words of t, i.e. bit j of the
-// signature is set iff t contains some element ≡ j (mod 64). Since
-// a ⊆ b implies sig(a) & ~sig(b) == 0, one word comparison rejects most
-// candidate pairs without touching the full terms.
+// The arena also provides the folded 64-bit *signature*, sig(t) = OR of
+// all words of t, i.e. bit j of the signature is set iff t contains some
+// element ≡ j (mod 64). The prime fold (core/primes.cc) sorts terms by it;
+// since a ⊆ b implies sig(a) & ~sig(b) == 0, it can also reject a subset
+// test in one word comparison.
 //
 // TermArena is a single-thread data structure; the pipeline's determinism
 // contract is unaffected because each arena lives entirely inside one

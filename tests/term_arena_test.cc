@@ -100,7 +100,7 @@ TEST(TermArena, WordLevelSetOpsMatchBitset) {
 
 TEST(TermArena, SignatureIsSoundForSubsetPruning) {
   // a ⊆ b implies sig(a) & ~sig(b) == 0, for every pair: the contrapositive
-  // is the one-word rejection used by keep_minimal_terms.
+  // is a one-word rejection of a subset test.
   Rng rng(77);
   TermArena a(300);
   std::vector<TermRef> terms;
