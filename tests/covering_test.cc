@@ -4,6 +4,7 @@
 
 #include "covering/binate.h"
 #include "covering/unate.h"
+#include "obs/counters.h"
 #include "util/rng.h"
 
 namespace encodesat {
@@ -32,8 +33,19 @@ TEST(UnateCover, EmptyProblemIsFeasibleZeroCost) {
 
 TEST(UnateCover, EmptyRowInfeasible) {
   auto p = make_unate(2, {{0}, {}});
-  EXPECT_FALSE(solve_unate_cover(p).feasible);
+  MetricsRegistry metrics;
+  ExecContext ctx;
+  ctx.metrics = &metrics;
+  EXPECT_FALSE(solve_unate_cover(p, {}, ctx).feasible);
   EXPECT_FALSE(greedy_unate_cover(p).feasible);
+  // This exit reports the same counter names as every other one: the set
+  // of names is part of the fingerprint.
+  std::vector<std::string> names;
+  for (const auto& sample : metrics.snapshot()) names.push_back(sample.name);
+  EXPECT_EQ(names, (std::vector<std::string>{
+                       "cover.arena_allocs", "cover.arena_reuses",
+                       "cover.components", "cover.nodes",
+                       "cover.peak_arena_bytes"}));
 }
 
 TEST(UnateCover, EssentialColumnsPicked) {
