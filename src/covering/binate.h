@@ -3,13 +3,13 @@
 // encoding-constraint satisfaction as this problem; we also use it for the
 // distance-2 and non-face constraint extensions of Section 8).
 //
-// The solver mirrors covering/unate.cc: root reductions (unit rows, pure
-// literals, row dominance, column dominance on the pure-positive
-// subtable), decomposition into independent components searched
-// concurrently with bit-identical results for every thread count, an
-// arena-backed explicit-stack branch-and-bound with unit propagation, and
-// a maximal-independent-set lower bound over the pure-positive residual
-// rows.
+// The solver runs root reductions (unit rows, pure literals, row
+// dominance, column dominance on the pure-positive subtable), then an
+// arena-backed explicit-stack branch-and-bound with unit propagation and a
+// maximal-independent-set lower bound over the pure-positive residual rows.
+// Its column-dominance scan, its split into independent components and
+// their concurrent search and merge, with bit-identical results for every
+// thread count, are the unate engine's own (covering/shared.h).
 //
 // Truncation honesty: a budget that expires before the search finishes is
 // *never* an infeasibility certificate. Proven infeasibility is exactly
