@@ -21,7 +21,7 @@ namespace encodesat {
 struct UnateCoverProblem {
   /// Number of selectable columns.
   std::size_t num_columns = 0;
-  /// Per-column weights; empty means unit weights.
+  /// Per-column weights, each at least 0; empty means unit weights.
   std::vector<int> weights;
   /// rows[i] = the set of columns that cover row i (universe num_columns).
   std::vector<Bitset> rows;
@@ -40,7 +40,8 @@ struct UnateCoverOptions {
 /// for every thread count; `ctx.budget` (deadline/cancellation, polled
 /// every 1024 nodes) only affects whether optimality is proved. Throws
 /// std::invalid_argument when `weights` is non-empty with a size other
-/// than `num_columns`, or when a row's universe differs from it.
+/// than `num_columns` or holds a negative weight, or when a row's universe
+/// differs from `num_columns`.
 CoverSolution solve_unate_cover(const UnateCoverProblem& problem,
                                 const UnateCoverOptions& options = {},
                                 const ExecContext& ctx = {});
