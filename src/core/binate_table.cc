@@ -119,8 +119,8 @@ SolveOutcome binate_table_encode(const ConstraintSet& cs,
   res.nodes_explored = sol.nodes_explored;
   res.truncation = sol.truncation;
   if (!sol.feasible) {
-    res.status = sol.truncated ? SolveOutcome::Status::kTruncated
-                               : SolveOutcome::Status::kInfeasible;
+    res.status = sol.proven_infeasible() ? SolveOutcome::Status::kInfeasible
+                                         : SolveOutcome::Status::kTruncated;
     return res;
   }
   assert(sol.cost >= 0);

@@ -270,8 +270,8 @@ SolveOutcome encode_with_extensions(const ConstraintSet& cs,
     // Only a completed search proves infeasibility; a truncated miss is
     // "unknown — the budget ran out first" (solve_binate_cover's honesty
     // contract, docs/API.md).
-    res.status = sol.truncated ? SolveOutcome::Status::kTruncated
-                               : SolveOutcome::Status::kInfeasible;
+    res.status = sol.proven_infeasible() ? SolveOutcome::Status::kInfeasible
+                                         : SolveOutcome::Status::kTruncated;
     res.truncation = sol.truncation;
     stage.set_truncation(res.truncation);
     return res;

@@ -13,10 +13,10 @@ namespace encodesat {
 
 struct CoverSolution {
   /// True when a cover (or satisfying selection) was found. False means
-  /// *either* proven infeasible (`truncated == false`) or unknown because
-  /// a budget expired first (`truncated == true`) — check `truncated`
-  /// before treating it as a certificate. (The unate engine keeps its
-  /// greedy cover when a budget runs out, so its `false` is always proven.)
+  /// *either* proven infeasible (`truncation == kNone`) or unknown because
+  /// a budget expired first — test `proven_infeasible()` before treating
+  /// it as a certificate. (The unate engine keeps its greedy cover when a
+  /// budget runs out, so its `false` is always proven.)
   bool feasible = false;
   /// True when branch-and-bound proved optimality within every budget.
   bool optimal = false;
@@ -44,16 +44,15 @@ struct CoverSolution {
   std::uint64_t arena_reuses = 0;
   /// Largest single-component arena footprint in bytes.
   std::size_t peak_arena_bytes = 0;
-  /// Uniform truncation shape (see docs/API.md): `truncated` always
-  /// mirrors `truncation != Truncation::kNone`.
-  bool truncated = false;
   /// Why the search stopped early (kNone on a complete run): kNodeLimit
   /// for the per-component node budget, kDeadline/kWorkBudget/kCancelled
   /// for a shared Budget on `ctx`.
   Truncation truncation = Truncation::kNone;
 
   /// The search ran to completion and found no cover — a certificate.
-  bool proven_infeasible() const { return !feasible && !truncated; }
+  bool proven_infeasible() const {
+    return !feasible && truncation == Truncation::kNone;
+  }
 };
 
 }  // namespace encodesat
