@@ -61,7 +61,8 @@ struct BinateCoverOptions {
 /// independently with its own `max_nodes` budget — and, when
 /// `ctx.num_threads` > 1, concurrently. The selected columns are identical
 /// for every thread count; `ctx.budget` (deadline/cancellation, polled
-/// every 1024 nodes) only affects whether the search completes. Throws
+/// before the root reduction, then on each search's first node and every
+/// 1024 nodes after it) only affects whether the search completes. Throws
 /// std::invalid_argument when `weights` is non-empty with a size other
 /// than `num_columns` or holds a negative weight, or when a row's universe
 /// differs from `num_columns`.

@@ -214,15 +214,16 @@ struct SearchCore {
   /// Counts a node. Returns false, naming the budget in `truncation`, once
   /// the count passes `max_nodes` or ctx's shared budget has tripped: a
   /// cheap exhaustion flag every node (it catches a limit tripped by a
-  /// sibling component's thread) and a clock poll every 1024 nodes, so a
-  /// search inside a serve request stays cancellable and deadline-bounded.
-  /// Either way the best cover found so far stays valid.
+  /// sibling component's thread) and a clock poll on the first node and
+  /// every 1024 nodes after it, so a search inside a serve request stays
+  /// cancellable and deadline-bounded, and a pending cancellation stops it
+  /// at its first node. Either way the best cover found so far stays valid.
   bool admit_node() {
     if (++nodes > max_nodes) {
       truncation = Truncation::kNodeLimit;
       return false;
     }
-    if (ctx.exhausted() || ((nodes & 1023u) == 0 && !ctx.poll())) {
+    if (ctx.exhausted() || ((nodes & 1023u) == 1 && !ctx.poll())) {
       truncation = ctx.reason();
       return false;
     }

@@ -37,11 +37,12 @@ struct UnateCoverOptions {
 /// problem splits into its connected components (rows sharing no columns),
 /// each searched independently with its own `max_nodes` budget — and, when
 /// `ctx.num_threads` > 1, concurrently. The selected columns are identical
-/// for every thread count; `ctx.budget` (deadline/cancellation, polled
-/// every 1024 nodes) only affects whether optimality is proved. Throws
-/// std::invalid_argument when `weights` is non-empty with a size other
-/// than `num_columns` or holds a negative weight, or when a row's universe
-/// differs from `num_columns`.
+/// for every thread count; `ctx.budget` (deadline/cancellation, polled on
+/// each search's first node and every 1024 nodes after it; a pending
+/// cancellation leaves the greedy cover) only affects whether optimality
+/// is proved. Throws std::invalid_argument when `weights` is non-empty
+/// with a size other than `num_columns` or holds a negative weight, or
+/// when a row's universe differs from `num_columns`.
 CoverSolution solve_unate_cover(const UnateCoverProblem& problem,
                                 const UnateCoverOptions& options = {},
                                 const ExecContext& ctx = {});
