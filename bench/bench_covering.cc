@@ -9,6 +9,8 @@
 // tests/cover_golden_test.cc builds them (the exact encoder's cover table)
 // and solved under suite_exact's 20,000-node budget. Every table is built
 // before the first timed solve, so each solve starts from the same heap.
+// The bench exits 1 unless every solve returns a cover whose weights sum
+// to its cost and repeats the first solve's search exactly.
 //
 //   bench_covering [--reps N] [--quick] [--out FILE] [--check-reduction X]
 //
@@ -341,7 +343,33 @@ CaseResult run_case(const std::string& name, const BinateCoverProblem& p,
   return out;
 }
 
-// Solves under suite_exact's cover budget (Table 1's quick budget).
+// What is wrong with `sol` as a cover of `p`, or nullptr: its columns must
+// cover every row, and their weights must sum to its cost.
+const char* cover_fault(const UnateCoverProblem& p, const CoverSolution& sol) {
+  if (!sol.feasible) return "no cover";
+  int cost = 0;
+  for (const std::size_t c : sol.columns) {
+    if (c >= p.num_columns) return "a column out of range";
+    cost += p.weights.empty() ? 1 : p.weights[c];
+  }
+  if (cost != sol.cost) return "column weights do not sum to the cost";
+  for (const Bitset& row : p.rows)
+    if (std::none_of(sol.columns.begin(), sol.columns.end(),
+                     [&](std::size_t c) { return row.test(c); }))
+      return "a row is left uncovered";
+  return nullptr;
+}
+
+bool same_search(const CoverSolution& a, const CoverSolution& b) {
+  return a.nodes_explored == b.nodes_explored && a.cost == b.cost &&
+         a.columns == b.columns && a.arena_allocs == b.arena_allocs &&
+         a.arena_reuses == b.arena_reuses &&
+         a.peak_arena_bytes == b.peak_arena_bytes;
+}
+
+// Solves under suite_exact's cover budget (Table 1's quick budget). Exits 1
+// unless every rep returns a cover of `p` (cover_fault) that repeats the
+// first rep's nodes, cost, columns and arena counters.
 CaseResult run_unate_case(const std::string& name, const UnateCoverProblem& p,
                           int reps) {
   CaseResult out;
@@ -352,8 +380,17 @@ CaseResult run_unate_case(const std::string& name, const UnateCoverProblem& p,
   opts.max_nodes = 20000;
   for (int r = 0; r < reps; ++r) {
     Timer t;
-    out.sol = solve_unate_cover(p, opts);
+    CoverSolution sol = solve_unate_cover(p, opts);
     out.wall_seconds = std::min(out.wall_seconds, t.elapsed_seconds());
+    const char* fault = cover_fault(p, sol);
+    if (!fault && r > 0 && !same_search(sol, out.sol))
+      fault = "the search differs from the first rep's";
+    if (fault) {
+      std::fprintf(stderr, "FATAL %s: rep %d: %s\n", name.c_str(), r + 1,
+                   fault);
+      std::exit(1);
+    }
+    if (r == 0) out.sol = std::move(sol);
   }
   return out;
 }
