@@ -13,6 +13,7 @@
 // cache's hits/misses) so compare_bench.py can flag *work* regressions —
 // e.g. the free list no longer being hit — independent of wall-clock
 // noise.
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -121,18 +122,23 @@ CaseResult run_sop_case(const std::string& name, const std::vector<Bitset>& adj,
   return out;
 }
 
-// Prime generation for a Table-1 machine: FSM -> mixed constraints ->
-// initial dichotomies -> valid maximally raised set -> primes. planet and
-// vmecont hit the term cutoff, like Table 1 (scaled down from the paper's
-// 50000 to keep the regression harness fast).
-CaseResult run_machine_case(const char* machine, int reps) {
+// A Table-1 machine's valid maximally raised set, built as exact_encode
+// builds it: FSM -> mixed constraints (Table 1's output-constraint budget)
+// -> initial dichotomies -> raise and filter.
+std::vector<Dichotomy> raised_set(const char* machine) {
   const Fsm fsm = make_mcnc_like(benchmark_spec(machine));
   ConstraintGenOptions gopts;
   gopts.max_dominance = static_cast<int>(fsm.num_states()) * 2;
   gopts.max_disjunctive = static_cast<int>(fsm.num_states()) / 4;
   const ConstraintSet cs = generate_mixed_constraints(fsm, gopts);
-  const FeasibilityResult feas = check_feasible(cs, ExecContext{});
+  return check_feasible(cs, ExecContext{}).raised;
+}
 
+// Prime generation for a Table-1 machine. planet and vmecont hit the term
+// cutoff, like Table 1 (scaled down from the paper's 50000 to keep the
+// regression harness fast).
+CaseResult run_machine_case(const char* machine, int reps) {
+  const std::vector<Dichotomy> raised = raised_set(machine);
   CaseResult out;
   out.name = std::string("primes_") + machine;
   out.wall_seconds = 1e30;
@@ -140,12 +146,55 @@ CaseResult run_machine_case(const char* machine, int reps) {
   popts.max_terms = 12000;
   for (int r = 0; r < reps; ++r) {
     Timer t;
-    const PrimeGenResult pg = generate_prime_dichotomies(feas.raised, popts);
+    const PrimeGenResult pg = generate_prime_dichotomies(raised, popts);
     const double secs = t.elapsed_seconds();
     if (secs < out.wall_seconds) out.wall_seconds = secs;
     out.take_fold_counters(pg.fold);
     out.num_terms = pg.fold.num_terms;
     out.truncated = pg.truncated;
+  }
+  return out;
+}
+
+// Prime generation of the repository benchmark's suite_exact machines under
+// its budgets: 50000 terms, and a fresh 1e10-unit work budget per machine,
+// which stops six of the nine folds. One repetition generates all nine;
+// work, folds, terms and the arena allocs and reuses are summed over them
+// (perfbench records the same sums as primes.fold_work and
+// primes.sop_terms), and the peak arena bytes is the largest machine's.
+CaseResult run_suite_exact_case(int reps) {
+  static const char* const kMachines[] = {"bbsse",   "cse",    "dk512",
+                                          "exlinp",  "keyb",   "kirkman",
+                                          "master",  "s1",     "s1a"};
+  std::vector<std::vector<Dichotomy>> raised;
+  for (const char* machine : kMachines) raised.push_back(raised_set(machine));
+
+  CaseResult out;
+  out.name = "primes_suite_exact";
+  out.wall_seconds = 1e30;
+  PrimeGenOptions popts;
+  popts.max_terms = 50000;
+  for (int r = 0; r < reps; ++r) {
+    CaseResult sum;  // this repetition's counters
+    Timer t;
+    for (const std::vector<Dichotomy>& ds : raised) {
+      Budget budget;
+      budget.set_work_limit(10'000'000'000ull);
+      ExecContext ctx;
+      ctx.budget = &budget;
+      const PrimeGenResult pg = generate_prime_dichotomies(ds, popts, ctx);
+      sum.work_units += pg.fold.work;
+      sum.peak_arena_bytes =
+          std::max(sum.peak_arena_bytes, pg.fold.peak_arena_bytes);
+      sum.num_terms += pg.fold.num_terms;
+      sum.folds += pg.fold.folds;
+      sum.truncated = sum.truncated || pg.truncated;
+      sum.arena_allocs += pg.fold.arena_allocs;
+      sum.arena_reuses += pg.fold.arena_reuses;
+    }
+    sum.wall_seconds = std::min(t.elapsed_seconds(), out.wall_seconds);
+    sum.name = out.name;
+    out = sum;
   }
   return out;
 }
@@ -278,6 +327,7 @@ int main(int argc, char** argv) {
   cases.push_back(run_sop_case("sop_stride_n96", stride_graph(96), 20000,
                                reps));
   cases.push_back(run_machine_case("keyb", reps));
+  cases.push_back(run_suite_exact_case(reps));
   {
     // Repeat workload: the same canonical instance under 8 symbol
     // permutations, cold vs. cached (part of the quick set so bench_check
