@@ -22,6 +22,13 @@ struct StrippedTerm {
   TermRef ref;
 };
 
+// A member v of a fold's `near \ N`, with |P_v|, P_v = folded[v] \ N. Its
+// P_v words live in the fold's flat probe buffer.
+struct Probe {
+  std::uint32_t count;
+  std::uint32_t v;
+};
+
 // Throws std::invalid_argument, naming the row, unless `incompat` is an
 // m x m symmetric adjacency matrix without loops: the fold indexes rows by
 // the bits it reads, and its terms are minimal vertex covers only of such
@@ -110,6 +117,10 @@ std::vector<Bitset> two_cnf_to_minimal_sop(const std::vector<Bitset>& incompat,
   //  * t ∪ N is minimal iff every v ∈ t \ N still has a neighbour outside
   //    t ∪ N. Each v had one outside t; only a v adjacent to N can have
   //    lost it, so only those are checked. When N ⊆ t, t ∪ N = t passes.
+  //    folded[v] \ N is the same for every term of a fold, so the fold
+  //    makes it once, a probe P_v for each v ∈ near \ N, and v fails iff
+  //    P_v ⊆ t. The probes run by (|P_v|, v), which only makes a failure
+  //    show sooner: the test is a conjunction.
   // The next SOP is the {t ∪ {x}} survivors in the old order, then the
   // survivors from terms that meet N, sorted by their stripped t \ N and
   // deduplicated, then those from N-disjoint terms in the old order. An
@@ -128,6 +139,8 @@ std::vector<Bitset> two_cnf_to_minimal_sop(const std::vector<Bitset>& incompat,
   sop.push_back(arena.alloc());  // cs of the empty expression: constant 1
   std::vector<Bitset> folded(m, Bitset(m));
   Bitset near(m);
+  std::vector<Probe> probes;
+  std::vector<std::uint64_t> probe_words;  // P_v of probes[i] at i * words
 
   std::uint64_t work = 0;
   const std::uint64_t words = (m + 63) / 64;
@@ -169,21 +182,36 @@ std::vector<Bitset> two_cnf_to_minimal_sop(const std::vector<Bitset>& incompat,
     const std::uint64_t* nw = nbrs.words();
     near.clear();
     nbrs.for_each([&](std::size_t n) { near |= folded[n]; });
-    const std::uint64_t* nearw = near.words();
-    // True iff every member of t \ N adjacent to N has a folded neighbour
-    // outside t ∪ N.
-    auto keeps_private_edges = [&](const std::uint64_t* tw) {
+    near.subtract(nbrs);
+    probes.clear();
+    near.for_each([&](std::size_t v) {
+      const std::uint64_t* row = folded[v].words();
+      std::uint32_t count = 0;
       for (std::size_t k = 0; k < words; ++k)
-        for (std::uint64_t w = tw[k] & ~nw[k] & nearw[k]; w != 0;
-             w &= w - 1) {
-          const std::uint64_t* row =
-              folded[k * 64 + static_cast<std::size_t>(std::countr_zero(w))]
-                  .words();
-          bool kept = false;
-          for (std::size_t j = 0; j < words && !kept; ++j)
-            kept = (row[j] & ~(tw[j] | nw[j])) != 0;
-          if (!kept) return false;
+        count += static_cast<std::uint32_t>(std::popcount(row[k] & ~nw[k]));
+      probes.push_back({count, static_cast<std::uint32_t>(v)});
+    });
+    std::sort(probes.begin(), probes.end(), [](Probe a, Probe b) {
+      return a.count != b.count ? a.count < b.count : a.v < b.v;
+    });
+    probe_words.resize(probes.size() * words);
+    for (std::size_t i = 0; i < probes.size(); ++i) {
+      const std::uint64_t* row = folded[probes[i].v].words();
+      for (std::size_t k = 0; k < words; ++k)
+        probe_words[i * words + k] = row[k] & ~nw[k];
+    }
+    // True iff every member of t \ N adjacent to N has a folded neighbour
+    // outside t ∪ N: no probe of a member of t lies inside t.
+    auto keeps_private_edges = [&](const std::uint64_t* tw) {
+      const std::uint64_t* pw = probe_words.data();
+      for (const Probe& p : probes) {
+        if ((tw[p.v >> 6] >> (p.v & 63)) & 1) {
+          std::size_t k = 0;
+          while (k < words && (pw[k] & ~tw[k]) == 0) ++k;
+          if (k == words) return false;
         }
+        pw += words;
+      }
       return true;
     };
     // Strips N from s and queues it for the sort.
