@@ -371,9 +371,7 @@ struct Search : SearchCore {
         pivot = r;
       }
       if (nn == 0) {
-        const TermRef a = aguard.track(cols.alloc());
-        cols.copy(a, fp);
-        avail.push_back(a);
+        avail.push_back(aguard.track(cols.clone(fp)));
         acount.push_back(static_cast<std::uint32_t>(np));
       }
     }

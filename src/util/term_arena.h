@@ -51,38 +51,23 @@ class TermArena {
 
   /// Allocates a zeroed term: free-list pop, else bump append.
   TermRef alloc() {
-    if (!free_.empty()) {
-      const TermRef t = free_.back();
-      free_.pop_back();
-      std::memset(&buf_[idx(t)], 0, words_ * sizeof(std::uint64_t));
-      ++live_;
-      ++reuses_;
-      return t;
-    }
-    const TermRef t = static_cast<TermRef>(buf_.size() / words_);
-    buf_.resize(buf_.size() + words_, 0);
-    ++live_;
-    ++allocs_;
+    const TermRef t = take_slot();
+    std::memset(data(t), 0, words_ * sizeof(std::uint64_t));
     return t;
   }
 
   /// Allocates a copy of `src`.
   TermRef clone(TermRef src) {
-    if (!free_.empty()) {
-      const TermRef t = free_.back();
-      free_.pop_back();
-      std::memcpy(&buf_[idx(t)], &buf_[idx(src)],
-                  words_ * sizeof(std::uint64_t));
-      ++live_;
-      ++reuses_;
-      return t;
-    }
-    // Append-then-copy: resize may reallocate, so re-read src afterwards.
-    const TermRef t = static_cast<TermRef>(buf_.size() / words_);
-    buf_.resize(buf_.size() + words_, 0);
-    std::memcpy(&buf_[idx(t)], &buf_[idx(src)], words_ * sizeof(std::uint64_t));
-    ++live_;
-    ++allocs_;
+    const TermRef t = take_slot();
+    copy(t, src);
+    return t;
+  }
+
+  /// Allocates a term holding a & ~b, counted as alloc() counts; the slot
+  /// is written once, with no zeroing first.
+  TermRef alloc_andnot(TermRef a, TermRef b) {
+    const TermRef t = take_slot();
+    andnot_of(t, a, b);
     return t;
   }
 
@@ -235,6 +220,22 @@ class TermArena {
 
  private:
   std::size_t idx(TermRef t) const { return std::size_t{t} * words_; }
+
+  // A free-list pop (its words stale), else a bump append. Callers read
+  // other terms through their refs afterwards: the append may move buf_.
+  TermRef take_slot() {
+    ++live_;
+    if (!free_.empty()) {
+      const TermRef t = free_.back();
+      free_.pop_back();
+      ++reuses_;
+      return t;
+    }
+    const TermRef t = static_cast<TermRef>(buf_.size() / words_);
+    buf_.resize(buf_.size() + words_);
+    ++allocs_;
+    return t;
+  }
 
   std::size_t universe_;
   std::size_t words_;

@@ -98,6 +98,45 @@ TEST(TermArena, WordLevelSetOpsMatchBitset) {
   EXPECT_EQ(a.live_terms(), 0u);
 }
 
+TEST(TermArena, AllocAndnotFillsAReusedSlotWithoutZeroing) {
+  // Two arenas run the same traffic; one takes its a & ~b terms from
+  // alloc_andnot, the other from alloc() + andnot_of.
+  Rng rng(20261021);
+  Bitset bx(130), by(130);  // 3 words, 62 padding bits
+  for (std::size_t e = 0; e < 130; ++e) {
+    if (rng.next_bool(0.5)) bx.set(e);
+    if (rng.next_bool(0.5)) by.set(e);
+  }
+  TermArena fused(130), plain(130);
+  TermRef x = 0, y = 0;
+  for (TermArena* a : {&fused, &plain}) {
+    x = a->from_bitset(bx);
+    y = a->from_bitset(by);
+    const TermRef junk = a->alloc();
+    std::uint64_t* w = a->data(junk);
+    for (std::size_t k = 0; k < a->words(); ++k) w[k] = ~std::uint64_t{0};
+    a->release(junk);
+  }
+  ASSERT_FALSE(fused.is_subset(x, y));
+  // The first call reuses the all-ones slot, the second appends one.
+  for (int round = 0; round < 2; ++round) {
+    const TermRef f = fused.alloc_andnot(x, y);
+    const TermRef q = plain.alloc();
+    plain.andnot_of(q, x, y);
+    EXPECT_EQ(f, q);
+    for (std::size_t k = 0; k < fused.words(); ++k) {
+      EXPECT_EQ(fused.data(f)[k], fused.data(x)[k] & ~fused.data(y)[k]);
+      EXPECT_EQ(fused.data(f)[k], plain.data(q)[k]);
+    }
+    EXPECT_EQ(fused.total_allocs(), plain.total_allocs());
+    EXPECT_EQ(fused.total_reuses(), plain.total_reuses());
+    EXPECT_EQ(fused.peak_bytes(), plain.peak_bytes());
+    EXPECT_EQ(fused.live_terms(), plain.live_terms());
+  }
+  EXPECT_EQ(fused.total_reuses(), 1u);
+  EXPECT_EQ(fused.total_allocs(), 4u);
+}
+
 TEST(TermArena, SignatureIsSoundForSubsetPruning) {
   // a ⊆ b implies sig(a) & ~sig(b) == 0, for every pair: the contrapositive
   // is a one-word rejection of a subset test.
